@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.core.condition import bind_condition
 from repro.core.governor import GovernorPolicy, OverloadGovernor
@@ -52,6 +52,35 @@ from repro.errors import (ActionDeliveryError, FaultInjected, LATError,
 
 _SIGNATURE_ATTRS = {"logical_signature", "physical_signature"}
 _INSTANCE_ATTRS = {"number_of_instances"}
+
+
+class MonitorCounters(NamedTuple):
+    """A monitor's replay-stable counters (summed across shards when the
+    monitor is sharded): the digest's inputs besides LAT contents."""
+
+    rules: dict[str, tuple[int, int]]  # name -> (fire_count, evaluation_count)
+    instances: dict[bytes, int]        # logical signature -> instance count
+    events_handled: int
+    rule_firings: int
+    rule_errors: int
+
+
+def canonical_digest(lats: dict[str, LAT], counters: MonitorCounters) -> int:
+    """CRC32 of the canonical state tuple both state digests hash.
+
+    ``lats`` maps lowercase LAT names to (merged) LATs.  Per-LAT integrity
+    signatures, per-rule firing/evaluation counters, instance counts and
+    the handled/fired totals, each in sorted order — so the value is
+    independent of registration order and shard layout."""
+    parts = (
+        tuple((name, lats[name].integrity_signature())
+              for name in sorted(lats)),
+        tuple((name, fires, evals)
+              for name, (fires, evals) in sorted(counters.rules.items())),
+        tuple(sorted((sig.hex(), count)
+                     for sig, count in counters.instances.items())),
+        counters.events_handled, counters.rule_firings)
+    return zlib.crc32(repr(parts).encode())
 
 
 class SQLCM:
@@ -147,7 +176,7 @@ class SQLCM:
         self.invalidate_signature_cache()
         if self.journal is not None:
             lat.journal = self.journal
-            self.journal.lat_created(definition)
+            self.journal.put("lats", definition.name, lat)
         return lat
 
     def drop_lat(self, name: str) -> None:
@@ -171,7 +200,7 @@ class SQLCM:
         del self._lats[key]
         self.invalidate_signature_cache()
         if self.journal is not None:
-            self.journal.lat_dropped(name)
+            self.journal.drop("lats", name)
 
     def lat(self, name: str) -> LAT:
         try:
@@ -210,7 +239,7 @@ class SQLCM:
         self._rules_by_event.setdefault(event_def.engine_event, []).append(rule)
         self.invalidate_signature_cache()
         if self.journal is not None:
-            self.journal.rule_added(rule)
+            self.journal.put("rules", rule.name, rule)
         return rule
 
     def remove_rule(self, name: str) -> None:
@@ -232,7 +261,7 @@ class SQLCM:
             self.governor.forget_rule(rule.name)
         self.invalidate_signature_cache()
         if self.journal is not None:
-            self.journal.rule_removed(rule.name)
+            self.journal.drop("rules", rule.name)
 
     def enable_rule(self, name: str, enabled: bool = True) -> None:
         rule = self.rules.get(name.lower())
@@ -245,7 +274,7 @@ class SQLCM:
                 f"call release_quarantine first")
         rule.enabled = enabled
         if self.journal is not None:
-            self.journal.rule_enabled(rule.name, enabled)
+            self.journal.put("rules", rule.name, rule)
 
     # ------------------------------------------------------------------
     # fault isolation: health, quarantine, fault injection
@@ -355,8 +384,7 @@ class SQLCM:
         if self._streams is None:
             from repro.stream import StreamEngine
             self._streams = StreamEngine(self)
-            if self.journal is not None:
-                self.journal.attach_stream_health(self._streams)
+            self._streams.health.journal = self.journal
         return self._streams
 
     @property
@@ -928,19 +956,16 @@ class SQLCM:
         sharded and merged (see :mod:`repro.shard`) — produce the same
         digest; this reuses the governor's ``sample_digest`` technique of
         order-independent CRC accumulation over replay-stable inputs."""
-        return zlib.crc32(repr(self._digest_parts()).encode())
+        return canonical_digest(self._lats, self.counters())
 
-    def _digest_parts(self) -> tuple:
-        lats = tuple((name, self._lats[name].integrity_signature())
-                     for name in sorted(self._lats))
-        rules = tuple((r.name, r.fire_count, r.evaluation_count)
-                      for r in sorted(self._rule_order,
-                                      key=lambda r: r.name))
-        instances = tuple(sorted(
-            (sig.hex(), count)
-            for sig, count in self._instance_counts.items()))
-        return (lats, rules, instances,
-                self.events_handled, self.rule_firings)
+    def counters(self) -> MonitorCounters:
+        """The replay-stable counters (instance counts are the live dict:
+        read, do not mutate)."""
+        return MonitorCounters(
+            {r.name: (r.fire_count, r.evaluation_count)
+             for r in self._rule_order},
+            self._instance_counts, self.events_handled,
+            self.rule_firings, self.rule_errors)
 
     # ------------------------------------------------------------------
     # persistence (Persist action + LAT restore)

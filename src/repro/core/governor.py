@@ -179,6 +179,13 @@ class OverloadGovernor:
     consult :meth:`lat_allowed`.
     """
 
+    _persisted = ("policy", "state", "last_transition_at", "suspended",
+                  "transitions", "_ema", "_global_ema", "_event_seq",
+                  "_event_salt", "events_seen", "evals_sampled_out",
+                  "evals_suspended", "inserts_shed", "stream_events_shed",
+                  "requests_denied", "measured_ratio", "estimated_ratio",
+                  "sample_digest")
+
     def __init__(self, sqlcm, policy: GovernorPolicy | None = None):
         self.sqlcm = sqlcm
         self.server = sqlcm.server
@@ -464,7 +471,7 @@ class OverloadGovernor:
                 f"{kind}:{name}" for kind, name in self.suspended)))
         self.transitions.append(record)
         if self.sqlcm.journal is not None:
-            self.sqlcm.journal.governor_changed(self)
+            self.sqlcm.journal.put("governor", None, self)
         self._publish(record)
 
     def _apply_state(self, state: str, measured: float | None = None) -> None:

@@ -158,6 +158,10 @@ class IncidentManager:
     bookkeeping charges the monitor-cost pool.
     """
 
+    _persisted = ("policy", "opened", "deduplicated", "resolved_count",
+                  "escalations", "remediation_counts", "_next_id",
+                  "_open_times")
+
     def __init__(self, sqlcm, policy: IncidentPolicy | None = None):
         self.sqlcm = sqlcm
         self.server = sqlcm.server
@@ -438,8 +442,10 @@ class IncidentManager:
         self._journal_incident(incident)
 
     def _journal_incident(self, incident: Incident) -> None:
-        if self.sqlcm.journal is not None:
-            self.sqlcm.journal.incident_changed(self, incident)
+        journal = self.sqlcm.journal
+        if journal is not None:
+            journal.put("incidents", None, self)
+            journal.put("incidents", incident.incident_id, incident)
 
     def add_listener(self, listener) -> None:
         """Register a callable fired on every incident lifecycle

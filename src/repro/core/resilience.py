@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.codec import TRANSIENT
 from repro.errors import FaultInjected, RuleError
 
 # rule health states
@@ -134,17 +135,19 @@ class RuleHealth:
 class RuleHealthRegistry:
     """All rules' health records plus the quarantine state machine."""
 
-    # durability hook (set by DurabilityManager.attach): called with the
-    # RuleHealth record after every durable state change
-    journal_hook = None
+    # durability journal (set by DurabilityManager.attach): every durable
+    # state change puts the RuleHealth record's image, keyed
+    # (namespace, name) — "engine" for rules, "stream" for stream queries
+    journal = None
+    namespace = "engine"
 
     def __init__(self, policy: QuarantinePolicy | None = None):
         self.policy = policy or QuarantinePolicy()
         self._health: dict[str, RuleHealth] = {}
 
     def _notify(self, health: RuleHealth) -> None:
-        if self.journal_hook is not None:
-            self.journal_hook(health)
+        if self.journal is not None:
+            self.journal.put("health", (self.namespace, health.name), health)
 
     def health_of(self, name: str) -> RuleHealth:
         key = name.lower()
@@ -298,10 +301,11 @@ class DeadLetter:
     payload: str
     error: str
     attempts: int
-    # retained so the journal can replay the delivery later
-    action_obj: Any = field(default=None, repr=False)
-    context: Any = field(default=None, repr=False)
-    lat_rows: Any = field(default=None, repr=False)
+    # retained so the journal can replay the delivery later (live objects:
+    # not persisted)
+    action_obj: Any = field(default=None, repr=False, metadata=TRANSIENT)
+    context: Any = field(default=None, repr=False, metadata=TRANSIENT)
+    lat_rows: Any = field(default=None, repr=False, metadata=TRANSIENT)
 
 
 @dataclass
@@ -321,9 +325,10 @@ class DeadLetterJournal:
     :attr:`dropped`) rather than letting the journal grow without limit.
     """
 
-    # durability hook (set by DurabilityManager.attach): called with each
-    # appended DeadLetter so the entry survives a monitor crash
-    journal_hook = None
+    # durability journal (set by DurabilityManager.attach): each append
+    # puts the ring's image so the entries survive a monitor crash
+    journal = None
+    _persisted = ("capacity", "_entries", "dropped", "poison_dropped")
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
@@ -341,8 +346,8 @@ class DeadLetterJournal:
             del self._entries[:overflow]
             self.dropped += overflow
         self._entries.append(entry)
-        if self.journal_hook is not None:
-            self.journal_hook(entry)
+        if self.journal is not None:
+            self.journal.put("deadletters", None, self)
 
     def entries(self, rule: str | None = None) -> list[DeadLetter]:
         if rule is None:

@@ -12,6 +12,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.codec import TRANSIENT
 from repro.core.governor import validate_criticality
 from repro.errors import RuleError
 
@@ -36,13 +37,15 @@ class Rule:
     criticality: str = "normal"
 
     # bound by SQLCM.add_rule
-    event_class: Any = field(default=None, repr=False)
-    event_def: Any = field(default=None, repr=False)
-    compiled_condition: Any = field(default=None, repr=False)
+    event_class: Any = field(default=None, repr=False, metadata=TRANSIENT)
+    event_def: Any = field(default=None, repr=False, metadata=TRANSIENT)
+    compiled_condition: Any = field(default=None, repr=False,
+                                    metadata=TRANSIENT)
 
-    # statistics
-    fire_count: int = 0
-    evaluation_count: int = 0
+    # statistics (durable as per-event ``counts`` deltas and the
+    # checkpoint's counts section, never inside the rule's image)
+    fire_count: int = field(default=0, metadata=TRANSIENT)
+    evaluation_count: int = field(default=0, metadata=TRANSIENT)
 
     def __post_init__(self):
         if not self.name:

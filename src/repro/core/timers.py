@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.core.codec import TRANSIENT
 from repro.errors import FaultInjected
 from repro.sim.scheduler import Delay
 
@@ -24,7 +25,8 @@ class TimerObject:
     name: str
     interval: float = 0.0
     remaining: int = 0
-    generation: int = 0  # bumped by Set(); stale processes exit
+    # bumped by Set(); stale processes exit (runtime only: not persisted)
+    generation: int = field(default=0, metadata=TRANSIENT)
     overruns: int = 0  # alarms coalesced because rule work outran the interval
 
     @property
@@ -60,11 +62,12 @@ class TimerService:
             self._sqlcm.server.scheduler.spawn(
                 f"timer-{name}", self._timer_process(timer, timer.generation)
             )
-        if self._sqlcm.journal is not None:
-            self._sqlcm.journal.append("timer", {
-                "name": name, "interval": timer.interval,
-                "repeats": timer.remaining})
+        self._journal(timer)
         return timer
+
+    def _journal(self, timer: TimerObject) -> None:
+        if self._sqlcm.journal is not None:
+            self._sqlcm.journal.put("timers", timer.name.lower(), timer)
 
     def shutdown(self) -> None:
         """Disarm every timer: running processes see the generation bump
@@ -94,7 +97,8 @@ class TimerService:
                                                {"timer": timer})
             # the alert's rule work executes in this background thread
             yield Delay(server.take_monitor_cost())
-            if timer.remaining > 0:
+            finite = timer.remaining > 0
+            if finite:
                 timer.remaining -= 1
             due += timer.interval
             # overrun coalescing: when the alert's own rule work ran past
@@ -112,3 +116,7 @@ class TimerService:
                     due += missed * timer.interval
                     if timer.remaining > 0:
                         timer.remaining -= missed
+            if finite:
+                # spent repeats must survive a crash; infinite timers
+                # (the incident sweep) have nothing to record
+                self._journal(timer)

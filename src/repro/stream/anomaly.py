@@ -63,6 +63,8 @@ class Deviation:
 class DeviationOperator:
     """Moving-average ± k·σ deviation detection, one baseline per group."""
 
+    _persisted = ("_history", "observations", "flagged")
+
     def __init__(self, spec: DeviationSpec):
         self.spec = spec
         self._history: dict[tuple, deque] = {}
@@ -118,6 +120,8 @@ class DeviationOperator:
 
 class TopKOperator:
     """Top-k-within-window ranking over one output column."""
+
+    _persisted = ("windows_ranked",)
 
     def __init__(self, spec: TopKSpec):
         self.spec = spec

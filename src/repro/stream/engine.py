@@ -51,9 +51,16 @@ register_fault_sites(*STREAM_FAULT_SITES)
 class StreamQuery:
     """One registered continuous query: spec + window state + operators."""
 
+    _persisted = ("text", "sink_lat", "criticality", "enabled",
+                  "next_boundary", "alerts", "events_seen",
+                  "events_ingested", "where_rejected", "windows_emitted",
+                  "alert_count", "errors", "last_error", "window",
+                  "deviation", "topk")
+
     def __init__(self, spec: StreamSpec, sink_lat: str | None = None,
                  max_alerts: int = 256, criticality: str = "normal"):
         self.spec = spec
+        self.text = spec.text  # the source a recovery re-registers
         self.sink_lat = sink_lat
         self.criticality = validate_criticality(criticality)
         self.window = WindowState(
@@ -101,6 +108,8 @@ class StreamEngine:
     """All stream queries of one SQLCM instance, sharing its event bus,
     cost pool, fault injector, and virtual clock."""
 
+    _persisted = ("events_seen", "alerts_published", "errors")
+
     def __init__(self, sqlcm, quarantine: QuarantinePolicy | None = None):
         self._sqlcm = sqlcm
         self.server = sqlcm.server
@@ -108,6 +117,7 @@ class StreamEngine:
         self._by_event: dict[str, list[StreamQuery]] = {}
         self._subscribed: set[str] = set()
         self.health = RuleHealthRegistry(quarantine)
+        self.health.namespace = "stream"
         self._in_emit = False
         # True while durability recovery re-runs journaled flushes: alert
         # rings and counters rebuild, but the sink-LAT insert and the bus
@@ -149,7 +159,7 @@ class StreamEngine:
             self._subscribed.add(spec.engine_event)
         self._sqlcm.invalidate_signature_cache()
         if self._sqlcm.journal is not None:
-            self._sqlcm.journal.stream_registered(query)
+            self._sqlcm.journal.put("streams", query.name, query)
         return query
 
     def deliver(self, event: str, payload: dict) -> None:
@@ -165,7 +175,7 @@ class StreamEngine:
             self._sqlcm.governor.forget_stream(query.spec.name)
         self._sqlcm.invalidate_signature_cache()
         if self._sqlcm.journal is not None:
-            self._sqlcm.journal.stream_removed(query.spec.name)
+            self._sqlcm.journal.drop("streams", query.spec.name)
 
     def detach(self) -> None:
         """Unsubscribe from the host bus (supervised restart teardown)."""

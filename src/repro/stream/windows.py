@@ -74,6 +74,8 @@ class WindowState:
     dropped during emission.
     """
 
+    _persisted = ("groups", "update_ops", "combine_ops")
+
     def __init__(self, spec: WindowSpec, funcs: list[AggregateFunction]):
         self.spec = spec
         self.funcs = funcs
