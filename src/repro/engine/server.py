@@ -119,13 +119,11 @@ class DatabaseServer:
         return stored.row_count if stored is not None else 0
 
     def bulk_load(self, table_name: str, rows) -> int:
-        """Load rows directly into storage (data generation fast path)."""
-        table = self.table(table_name)
-        count = 0
-        for row in rows:
-            table.insert(row)
-            count += 1
-        return count
+        """Load rows directly into storage (data generation fast path).
+
+        All or nothing: a type or constraint error leaves the table as it
+        was."""
+        return self.table(table_name).bulk_insert(rows)
 
     def execute_ddl(self, sql: str) -> None:
         """CREATE TABLE / CREATE INDEX, applied immediately."""

@@ -10,10 +10,11 @@ access.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from operator import is_, itemgetter
 from typing import Any, Iterable, Iterator
 
 from repro.engine.catalog import IndexDef, TableSchema
-from repro.engine.types import coerce
+from repro.engine.types import STORED_TYPES, coerce
 from repro.errors import ConstraintError, ExecutionError
 
 
@@ -45,6 +46,18 @@ class _OrderedKey:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"_OrderedKey({self.key!r})"
+
+
+def _sort_keys(keys: list[tuple]) -> list[tuple]:
+    """Distinct index keys in ``_OrderedKey`` order.
+
+    Without NULL or NaN fields plain tuple order is the same order, and
+    Python compares tuples in C; otherwise each comparison goes through
+    ``_OrderedKey.__lt__``.
+    """
+    if all(v is not None and v == v for key in keys for v in key):
+        return sorted(keys)
+    return sorted(keys, key=_OrderedKey)
 
 
 class Index:
@@ -79,6 +92,47 @@ class Index:
                 f"duplicate key {self.key_of(row)!r} in unique index "
                 f"{self.definition.name!r}"
             )
+
+    def checked_keys(self, rows: Iterable[list]) -> list[tuple]:
+        """The keys of ``rows``; raises if adding them all would violate
+        uniqueness, within the batch or against keys already present."""
+        ordinals = self.column_ordinals
+        if len(ordinals) == 1:
+            ordinal = ordinals[0]
+            keys = [(row[ordinal],) for row in rows]
+        else:
+            keys = list(map(itemgetter(*ordinals), rows))
+        if self.definition.unique:
+            seen: set[tuple] = set()
+            for key in keys:
+                if key in seen or key in self._map:
+                    raise ConstraintError(
+                        f"duplicate key {key!r} in unique index "
+                        f"{self.definition.name!r}"
+                    )
+                seen.add(key)
+        return keys
+
+    def build(self, keys: list[tuple], rowids: Iterable[int]) -> None:
+        """Add one entry per (key, rowid) pair, sorting the keys once.
+
+        ``keys`` come from :meth:`checked_keys`.  The new distinct keys
+        and any already present are sorted together; the present ones
+        form one sorted run, so the sort merges rather than re-sorts.
+        """
+        new_keys = []
+        index_map = self._map
+        for key, rowid in zip(keys, rowids):
+            bucket = index_map.get(key)
+            if bucket is None:
+                index_map[key] = {rowid}
+                new_keys.append(key)
+            else:
+                bucket.add(rowid)
+        if not new_keys:
+            return
+        new_keys += [ordered.key for ordered in self._sorted]
+        self._sorted = list(map(_OrderedKey, _sort_keys(new_keys)))
 
     def delete(self, row: list, rowid: int) -> None:
         key = self.key_of(row)
@@ -166,8 +220,7 @@ class Table:
     def _materialize_index(self, index_def: IndexDef) -> Index:
         ordinals = tuple(self.schema.column_index(c) for c in index_def.columns)
         index = Index(index_def, ordinals)
-        for rowid, row in self._rows.items():
-            index.insert(row, rowid)
+        index.build(index.checked_keys(self._rows.values()), self._rows)
         self.indexes[index_def.name] = index
         return index
 
@@ -231,6 +284,34 @@ class Table:
         for index in self.indexes.values():
             index.insert(row, rowid)
         return rowid
+
+    def bulk_insert(self, rows: Iterable[Iterable[Any]]) -> int:
+        """Insert many rows at once; returns how many.
+
+        Every row is coerced and checked (types, NOT NULL, uniqueness
+        within the batch and against present keys) before anything is
+        stored, so a failing load leaves the table as it was.  A row whose
+        values all have their column's stored type already is what
+        :meth:`prepare_row` would make of it, and is copied as it is.
+        Each index then sorts its new keys once instead of bisecting per
+        row.
+        """
+        stored_types = [STORED_TYPES[c.sql_type] for c in self.schema.columns]
+        prepared = []
+        for values in rows:
+            row = list(values)
+            if len(row) != len(stored_types) or \
+                    not all(map(is_, map(type, row), stored_types)):
+                row = self.prepare_row(row)
+            prepared.append(row)
+        keyed = [(index, index.checked_keys(prepared))
+                 for index in self.indexes.values()]
+        rowids = range(self._next_rowid, self._next_rowid + len(prepared))
+        self._rows.update(zip(rowids, prepared))
+        self._next_rowid = rowids.stop
+        for index, keys in keyed:
+            index.build(keys, rowids)
+        return len(prepared)
 
     def update(self, rowid: int, new_values: dict[int, Any]) -> list:
         """Update columns (by ordinal) of one row. Returns the before-image."""

@@ -38,6 +38,17 @@ _PYTHON_TYPES = {
     SQLType.BLOB: (bytes, str),
 }
 
+#: the Python type :func:`coerce` stores for each SQL type; it returns a
+#: value of exactly this type unchanged
+STORED_TYPES = {
+    SQLType.INTEGER: int,
+    SQLType.FLOAT: float,
+    SQLType.STRING: str,
+    SQLType.DATETIME: float,
+    SQLType.BOOLEAN: bool,
+    SQLType.BLOB: bytes,
+}
+
 _NUMERIC = (SQLType.INTEGER, SQLType.FLOAT)
 
 

@@ -9,6 +9,7 @@ with the same config are byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,24 @@ from repro.engine.types import SQLType
 
 _SEGMENTS = ("AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY")
 _STATUSES = ("F", "O", "P")
+
+
+def round2(value: float) -> float:
+    """``float(np.round(value, 2))`` for a finite float, without numpy.
+
+    numpy computes ``rint(value * 100) / 100``; ``round`` is the same
+    round-half-even, and ``copysign`` keeps the ``-0.0`` that ``rint``
+    keeps for small negatives.
+    """
+    return math.copysign(round(value * 100.0) / 100.0, value)
+
+
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``float(rng.uniform(low, high))`` without the numpy call.
+
+    This is numpy's own formula, drawing one double from the stream.
+    """
+    return low + (high - low) * rng.random()
 
 
 @dataclass(frozen=True)
@@ -92,7 +111,7 @@ def load_tpch(server, config: TPCHConfig | None = None) -> dict[str, int]:
             key,
             f"Customer#{key:09d}",
             _SEGMENTS[int(rng.integers(len(_SEGMENTS)))],
-            float(np.round(rng.uniform(-999.99, 9999.99), 2)),
+            round2(uniform(rng, -999.99, 9999.99)),
         ])
     server.bulk_load("customer", customers)
 
@@ -102,8 +121,8 @@ def load_tpch(server, config: TPCHConfig | None = None) -> dict[str, int]:
             key,
             int(rng.integers(1, config.customer_rows + 1)),
             _STATUSES[int(rng.integers(len(_STATUSES)))],
-            float(np.round(rng.uniform(850.0, 500_000.0), 2)),
-            float(rng.uniform(0.0, 2.4e6)),  # order date as virtual seconds
+            round2(uniform(rng, 850.0, 500_000.0)),
+            uniform(rng, 0.0, 2.4e6),  # order date as virtual seconds
         ])
     server.bulk_load("orders", orders)
 
@@ -112,7 +131,7 @@ def load_tpch(server, config: TPCHConfig | None = None) -> dict[str, int]:
         parts.append([
             key,
             f"part {key} burnished steel",
-            float(np.round(900.0 + (key % 1000) + key / 10.0, 2)),
+            round2(900.0 + (key % 1000) + key / 10.0),
         ])
     server.bulk_load("part", parts)
 
@@ -125,9 +144,9 @@ def load_tpch(server, config: TPCHConfig | None = None) -> dict[str, int]:
             line_number,
             int(rng.integers(1, config.part_rows + 1)),
             float(rng.integers(1, 51)),
-            float(np.round(rng.uniform(900.0, 105_000.0), 2)),
-            float(np.round(rng.uniform(0.0, 0.10), 2)),
-            float(rng.uniform(0.0, 2.4e6)),
+            round2(uniform(rng, 900.0, 105_000.0)),
+            round2(uniform(rng, 0.0, 0.10)),
+            uniform(rng, 0.0, 2.4e6),
         ])
         line_number += 1
         if line_number > config.lines_per_order_max or \

@@ -4,7 +4,7 @@ import pytest
 
 from repro import DatabaseServer, IfStep, ProcedureDef, Statement
 from repro.engine.query import QueryState
-from repro.errors import EngineError
+from repro.errors import ConstraintError, EngineError
 from repro.sim.scheduler import SchedulerStalledError
 
 
@@ -206,6 +206,31 @@ class TestServerSurface:
         server.execute_ddl("CREATE TABLE b (x INT NOT NULL PRIMARY KEY)")
         assert server.bulk_load("b", [[i] for i in range(10)]) == 10
         assert server.table("b").row_count == 10
+
+    @pytest.mark.parametrize("batch", [
+        [[10, 1], [11, 1], [10, 2]],     # duplicate key inside the batch
+        [[10, 1], [1, 1], [12, 1]],      # duplicate of a present key
+        [[10, 1], [None, 1], [12, 1]],   # NULL in a NOT NULL column
+    ], ids=["dup-in-batch", "dup-existing", "not-null"])
+    def test_bulk_load_is_all_or_nothing(self, server, batch):
+        server.execute_ddl(
+            "CREATE TABLE b (x INT NOT NULL PRIMARY KEY, g INT)")
+        server.execute_ddl("CREATE INDEX ix_b_g ON b (g)")
+        server.bulk_load("b", [[i, i % 2] for i in range(5)])
+        table = server.table("b")
+
+        def state():
+            return (table.row_count, table._next_rowid, dict(table._rows),
+                    {name: ({k: set(v) for k, v in index._map.items()},
+                            [k.key for k in index._sorted])
+                     for name, index in table.indexes.items()})
+
+        before = state()
+        with pytest.raises(ConstraintError):
+            server.bulk_load("b", batch)
+        assert state() == before
+        assert server.bulk_load("b", [[5, 1]]) == 1
+        assert table.get(6) == [5, 1]
 
     def test_ddl_requires_ddl_statement(self, server):
         with pytest.raises(EngineError):

@@ -1,5 +1,8 @@
 """Tests for TPC-H-lite generation and the paper workload mixes."""
 
+import zlib
+
+import numpy as np
 import pytest
 
 from repro import DatabaseServer
@@ -7,7 +10,8 @@ from repro.workloads import (TPCHConfig, WorkloadMix, mixed_paper_workload,
                              register_order_procedures,
                              short_select_workload)
 from repro.workloads.generator import join_query, lineitem_key_sample
-from repro.workloads.tpch import create_tpch_schema, load_tpch, setup_tpch
+from repro.workloads.tpch import (create_tpch_schema, load_tpch, round2,
+                                  setup_tpch, uniform)
 
 
 class TestTPCHGeneration:
@@ -50,6 +54,51 @@ class TestTPCHGeneration:
         lineitem = tpch_server.table("lineitem")
         assert "pk_lineitem" in lineitem.indexes
         assert "ix_lineitem_partkey" in lineitem.indexes
+
+
+class TestTPCHGolden:
+    """The generated data is pinned bit for bit: a CRC32 over each
+    table's rows in rowid order (``repr`` shows every float exactly)."""
+
+    GOLDEN = {
+        0.2: {"customer": 0x1a07c9a9, "orders": 0x9ea96a6d,
+              "part": 0x2d952663, "lineitem": 0xfddcfc91},
+        1.0: {"customer": 0xe2c4bace, "orders": 0xc89a33aa,
+              "part": 0xa13a6979, "lineitem": 0x78bb9216},
+    }
+
+    @pytest.mark.parametrize("scale", sorted(GOLDEN))
+    def test_rows_match_golden_crc32(self, scale):
+        server = DatabaseServer()
+        setup_tpch(server, TPCHConfig().scaled(scale))
+        digests = {
+            name: zlib.crc32(repr(
+                [row for __, row in server.table(name).scan()]).encode())
+            for name in self.GOLDEN[scale]}
+        assert digests == self.GOLDEN[scale]
+
+    def test_round2_is_numpy_round(self):
+        rng = np.random.default_rng(5)
+        values = list(rng.uniform(-1e5, 1e5, 5000)) + list(
+            rng.uniform(-1.0, 1.0, 5000))
+        # round-half ties, negatives, and values that round to -0.0
+        values += [k / 1000 for k in range(-3005, 3006, 10)]
+        values += [2.675, 1.005, 0.125, -0.125, 0.005, -0.005, -0.004,
+                   -0.0049999, -1e-300, -0.0, 0.0, 1e15 + 0.125]
+        for value in map(float, values):
+            assert round2(value).hex() == float(np.round(value, 2)).hex(), \
+                value
+
+    def test_uniform_is_numpy_uniform(self):
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        bounds = [(-999.99, 9999.99), (850.0, 500_000.0), (0.0, 2.4e6),
+                  (900.0, 105_000.0), (0.0, 0.10), (-5.0, -1.0)]
+        for i in range(3000):
+            low, high = bounds[i % len(bounds)]
+            assert uniform(ours, low, high).hex() == \
+                float(theirs.uniform(low, high)).hex()
+            # interleaved integer draws stay in step too
+            assert int(ours.integers(1, 51)) == int(theirs.integers(1, 51))
 
 
 class TestWorkloadMixes:
