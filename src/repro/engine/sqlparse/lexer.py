@@ -66,30 +66,32 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token("STRING", "".join(parts), i))
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and sql[i + 1:i + 2].isdecimal()):
             j = i
             seen_dot = False
             seen_exp = False
             while j < n:
                 c = sql[j]
-                if c.isdigit():
+                if c.isdecimal():
                     j += 1
                 elif c == "." and not seen_dot and not seen_exp:
                     seen_dot = True
                     j += 1
-                elif c in "eE" and not seen_exp and j > i:
+                elif c in "eE" and not seen_exp:
+                    # an exponent belongs to the number only when digits
+                    # follow it: `1e` is the number 1 then the name e
+                    k = j + 2 if sql[j + 1:j + 2] in ("+", "-") else j + 1
+                    if not sql[k:k + 1].isdecimal():
+                        break
                     seen_exp = True
-                    j += 1
-                    if j < n and sql[j] in "+-":
-                        j += 1
+                    j = k
                 else:
                     break
             text = sql[i:j]
-            value: object
-            if seen_dot or seen_exp:
-                value = float(text)
-            else:
-                value = int(text)
+            try:
+                value = float(text) if seen_dot or seen_exp else int(text)
+            except ValueError:  # more digits than int() will convert
+                raise SQLSyntaxError("number literal too long", i) from None
             tokens.append(Token("NUMBER", value, i))
             i = j
             continue
@@ -114,15 +116,12 @@ def tokenize(sql: str) -> list[Token]:
                 tokens.append(Token("IDENT", word, i))
             i = j
             continue
-        matched = False
-        for op in OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token("OP", op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        raise SQLSyntaxError(f"unexpected character {ch!r}", i)
+        op = sql[i:i + 2]  # two-character operators first
+        if op not in OPERATORS:
+            op = ch
+            if op not in OPERATORS:
+                raise SQLSyntaxError(f"unexpected character {ch!r}", i)
+        tokens.append(Token("OP", op, i))
+        i += len(op)
     tokens.append(Token("EOF", None, n))
     return tokens

@@ -17,6 +17,8 @@ _TYPE_WORDS = {
 
 _AGG_KEYWORDS = {"COUNT", "SUM", "AVG", "MIN", "MAX", "STDEV"}
 
+_LITERAL_WORDS = {"NULL": None, "TRUE": True, "FALSE": False}
+
 
 class _Parser:
     """Stateful cursor over a token list."""
@@ -28,8 +30,9 @@ class _Parser:
     # -- cursor helpers -----------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[idx]
+        if not offset:  # the list ends in EOF, which _advance never passes
+            return self._tokens[self._pos]
+        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -98,6 +101,11 @@ class _Parser:
             raise SQLSyntaxError(f"unsupported statement {word!r}", token.position)
         self._expect("EOF")
         return stmt
+
+    def parse_expression(self) -> ast.Expr:
+        expr = self._expression()
+        self._expect("EOF")
+        return expr
 
     # -- statements ----------------------------------------------------------
 
@@ -428,30 +436,36 @@ class _Parser:
         return self._primary()
 
     def _primary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind == "NUMBER":
-            self._advance()
+        token = self._advance()
+        kind = token.kind
+        if kind == "NUMBER" or kind == "STRING":
             return ast.Literal(token.value)
-        if token.kind == "STRING":
-            self._advance()
-            return ast.Literal(token.value)
-        if token.kind == "PARAM":
-            self._advance()
+        if kind == "IDENT" or (kind == "KEYWORD" and self._check("OP", ".")):
+            # a keyword qualifies a name too: Transaction.Duration, Top.X
+            name = str(token.value)
+            if self._accept("OP", "."):
+                column = self._advance()
+                if column.kind not in ("IDENT", "KEYWORD"):
+                    raise SQLSyntaxError(
+                        f"expected a name after '.', found {column.value!r}",
+                        column.position)
+                return ast.ColumnRef(str(column.value), table=name)
+            if self._accept("OP", "("):
+                args: list[ast.Expr] = []
+                if not self._check("OP", ")"):
+                    args.append(self._expression())
+                    while self._accept("OP", ","):
+                        args.append(self._expression())
+                self._expect("OP", ")")
+                return ast.FuncCall(name.upper(), tuple(args))
+            return ast.ColumnRef(name)
+        if kind == "PARAM":
             return ast.Parameter(str(token.value))
-        if token.matches("KEYWORD", "NULL"):
-            self._advance()
-            return ast.Literal(None)
-        if token.matches("KEYWORD", "TRUE"):
-            self._advance()
-            return ast.Literal(True)
-        if token.matches("KEYWORD", "FALSE"):
-            self._advance()
-            return ast.Literal(False)
-        if token.kind == "KEYWORD" and token.value in _AGG_KEYWORDS:
-            self._advance()
+        if kind == "KEYWORD" and token.value in _LITERAL_WORDS:
+            return ast.Literal(_LITERAL_WORDS[token.value])
+        if kind == "KEYWORD" and token.value in _AGG_KEYWORDS:
             self._expect("OP", "(")
-            if token.value == "COUNT" and self._check("OP", "*"):
-                self._advance()
+            if token.value == "COUNT" and self._accept("OP", "*"):
                 self._expect("OP", ")")
                 return ast.FuncCall("COUNT", star=True)
             distinct = self._keyword("DISTINCT")
@@ -461,31 +475,26 @@ class _Parser:
             self._expect("OP", ")")
             return ast.FuncCall(str(token.value), tuple(args),
                                 distinct=distinct)
-        if self._check("OP", "("):
-            self._advance()
+        if token.matches("OP", "("):
             expr = self._expression()
             self._expect("OP", ")")
             return expr
-        if token.kind == "IDENT":
-            name = str(self._advance().value)
-            if self._check("OP", "."):
-                self._advance()
-                column = str(self._expect_name())
-                return ast.ColumnRef(column, table=name)
-            if self._check("OP", "("):
-                self._advance()
-                args: list[ast.Expr] = []
-                if not self._check("OP", ")"):
-                    args.append(self._expression())
-                    while self._accept("OP", ","):
-                        args.append(self._expression())
-                self._expect("OP", ")")
-                return ast.FuncCall(name.upper(), tuple(args))
-            return ast.ColumnRef(name)
         raise SQLSyntaxError(f"unexpected token {token.value!r}",
                              token.position)
 
 
 def parse_statement(sql: str) -> ast.Statement:
     """Parse one SQL statement into its AST."""
-    return _Parser(tokenize(sql)).parse()
+    return _bounded(_Parser(tokenize(sql)).parse)
+
+
+def parse_expression(tokens: list[Token]) -> ast.Expr:
+    """Parse one whole expression from a token list that ends in EOF."""
+    return _bounded(_Parser(tokens).parse_expression)
+
+
+def _bounded(parse):
+    try:
+        return parse()
+    except RecursionError:  # hostile nesting must stay a syntax error
+        raise SQLSyntaxError("expression nested too deeply", 0) from None

@@ -160,7 +160,9 @@ def decode_frame(line: bytes) -> dict:
         raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     try:
         frame = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers;
+        # RecursionError a frame nested deeper than the decoder's stack
         raise ProtocolError(f"frame is not valid JSON: {err}") from None
     if not isinstance(frame, dict):
         raise ProtocolError("frame must be a JSON object")
@@ -182,19 +184,24 @@ def parse_request(frame: dict) -> Request:
 
 def parse_server_frame(frame: dict) -> Response | Push:
     """Classify a server frame (client side)."""
+    data = frame.get("data") or {}
+    if not isinstance(data, dict):
+        raise ProtocolError("frame 'data' must be an object")
     if "push" in frame:
         topic = frame.get("push")
-        if not isinstance(topic, str):
-            raise ProtocolError("push frame needs a string topic")
-        return Push(topic=topic, data=frame.get("data") or {},
-                    time=float(frame.get("time") or 0.0))
+        time = frame.get("time") or 0.0
+        if not isinstance(topic, str) or not isinstance(time, (int, float)):
+            raise ProtocolError(
+                "push frame needs a string topic and a numeric time")
+        return Push(topic=topic, data=data, time=float(time))
     request_id = frame.get("id")
     if not isinstance(request_id, int):
         raise ProtocolError("response frame needs an integer 'id'")
     if frame.get("ok"):
-        return Response(request_id=request_id, ok=True,
-                        data=frame.get("data") or {})
+        return Response(request_id=request_id, ok=True, data=data)
     error = frame.get("error") or {}
+    if not isinstance(error, dict):
+        raise ProtocolError("error frame needs an 'error' object")
     return Response(
         request_id=request_id, ok=False,
         code=error.get("code") or E_INTERNAL,

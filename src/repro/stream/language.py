@@ -13,11 +13,11 @@ One statement defines one continuous query over a monitored event stream::
     [ANOMALY DEVIATION(<output column>, <k>[, <history>])
            | TOPK(<output column>, <k>)]
 
-The statement is tokenized with the engine's SQL lexer and the WHERE /
-HAVING sub-expressions are handed, as source-text slices, to the ECA
-condition compiler — the stream language adds clause structure, not a new
-expression grammar.  ``SLIDING(len)`` defaults the hop to ``len / 10``;
-``TUMBLING(len)`` is ``hop == len``.
+The statement is tokenized once with the engine's SQL lexer; the WHERE /
+HAVING clause tokens go straight to the SQL expression parser and are
+bound by the ECA condition compiler — the stream language adds clause
+structure, not a new expression grammar.  ``SLIDING(len)`` defaults the
+hop to ``len / 10``; ``TUMBLING(len)`` is ``hop == len``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from repro.core.condition import (CompiledCondition, bind_condition,
                                   bind_row_condition)
 from repro.core.schema import SCHEMA, EventDef, MonitoredClassDef
 from repro.engine.sqlparse.lexer import Token, tokenize
-from repro.errors import SQLSyntaxError, StreamSyntaxError
+from repro.errors import (ConditionSyntaxError, SQLSyntaxError, StreamError,
+                          StreamSyntaxError)
 
 # clause-introducing words; GROUP BY is detected as KEYWORD GROUP + BY.
 # WINDOW/AGG/... are not SQL keywords, so they surface as IDENT tokens and
@@ -157,47 +158,17 @@ def _split_clauses(text: str,
         last_order = order
         end = starts[n + 1][1] if n + 1 < len(starts) else len(tokens) - 1
         body = tokens[start + 1:end]
-        if word == "GROUP":
+        if word in ("WHERE", "HAVING"):
+            # expression clauses go straight to the SQL expression parser,
+            # which wants its token list to end in EOF
+            body.append(Token("EOF", None, tokens[end].position))
+        elif word == "GROUP":
             if not body or not body[0].matches("KEYWORD", "BY"):
                 raise StreamSyntaxError("expected BY after GROUP",
                                         tokens[start].position)
             body = body[1:]
         clauses[word] = (body, tokens[start].position)
     return clauses
-
-
-def _source_slice(text: str, body: list[Token]) -> str:
-    """The raw source text spanned by a clause's tokens (for the condition
-    compiler, which has its own tokenizer)."""
-    if not body:
-        return ""
-    start = body[0].position
-    last = body[-1]
-    end = last.position + _token_width(text, last)
-    return text[start:end]
-
-
-def _token_width(text: str, token: Token) -> int:
-    if token.kind == "STRING":
-        # find the closing quote, accounting for '' escapes
-        i = token.position + 1
-        while i < len(text):
-            if text[i] == "'":
-                if i + 1 < len(text) and text[i + 1] == "'":
-                    i += 2
-                    continue
-                return i + 1 - token.position
-            i += 1
-        return len(text) - token.position
-    if token.kind in ("KEYWORD", "IDENT", "OP"):
-        return len(str(token.value))
-    # NUMBER: scan forward over the literal's characters
-    i = token.position
-    while i < len(text) and (text[i].isalnum() or text[i] in ".+-"):
-        if text[i] in "+-" and text[i - 1] not in "eE":
-            break
-        i += 1
-    return i - token.position
 
 
 class _ClauseParser:
@@ -258,7 +229,7 @@ class _ClauseParser:
         if token.matches("OP", "-"):
             sign = -1.0
             token = self._advance()
-        if token.kind != "NUMBER":
+        if token.kind != "NUMBER" or token.value == float("inf"):
             raise StreamSyntaxError(
                 f"expected {what}, got {token.value!r}", token.position)
         return sign * float(token.value)
@@ -310,7 +281,16 @@ def _parse_window(parser: _ClauseParser) -> "WindowSpec":
                 "HOPPING requires an explicit hop argument", parser._start)
     elif hop is None:  # sliding default: ten panes per window
         hop = length / 10.0
-    return WindowSpec(kind, length, hop)
+    return _build(parser, WindowSpec, kind, length, hop)
+
+
+def _build(parser: _ClauseParser, spec, *args):
+    """Construct a clause's spec; a value it rejects is a syntax error of
+    that clause."""
+    try:
+        return spec(*args)
+    except StreamError as exc:
+        raise parser.fail(str(exc)) from exc
 
 
 def _parse_groups(parser: _ClauseParser,
@@ -388,18 +368,27 @@ def _parse_anomaly(parser: _ClauseParser, columns: tuple[str, ...]):
             history = int(parser.number("history length"))
         parser.op(")")
         parser.done()
-        return DeviationSpec(col, k) if history is None \
-            else DeviationSpec(col, k, history)
+        args = (col, k) if history is None else (col, k, history)
+        return _build(parser, DeviationSpec, *args)
     if kind == "TOPK":
         col = column()
         parser.op(",")
         k = parser.number("top-k rank count")
         parser.op(")")
         parser.done()
-        return TopKSpec(col, int(k))
+        return _build(parser, TopKSpec, col, int(k))
     raise StreamSyntaxError(
         f"unknown anomaly operator {kind!r} (expected DEVIATION or TOPK)",
         parser._start)
+
+
+def _bind_clause(clause: str, bind, body: list[Token], *args):
+    """Bind a WHERE/HAVING clause's tokens as an ECA condition."""
+    try:
+        return bind(body, *args)
+    except ConditionSyntaxError as exc:
+        raise StreamSyntaxError(f"{exc} in {clause} clause",
+                                exc.position) from exc
 
 
 def parse_stream_query(text: str, *, name: str | None = None,
@@ -438,10 +427,10 @@ def parse_stream_query(text: str, *, name: str | None = None,
     where = None
     if "WHERE" in clauses:
         body, position = clauses["WHERE"]
-        if not body:
+        if body[0].kind == "EOF":
             raise StreamSyntaxError("empty WHERE clause", position)
-        where = bind_condition(_source_slice(text, body), schema, set(),
-                               lambda _n: set())
+        where = _bind_clause("WHERE", bind_condition, body, schema, set(),
+                             lambda _n: set())
         extra = where.classes - {class_def.name.lower()}
         if extra:
             raise StreamSyntaxError(
@@ -477,9 +466,10 @@ def parse_stream_query(text: str, *, name: str | None = None,
     having = None
     if "HAVING" in clauses:
         body, position = clauses["HAVING"]
-        if not body:
+        if body[0].kind == "EOF":
             raise StreamSyntaxError("empty HAVING clause", position)
-        having = bind_row_condition(_source_slice(text, body), set(columns))
+        having = _bind_clause("HAVING", bind_row_condition, body,
+                              set(columns))
 
     anomaly = None
     if "ANOMALY" in clauses:

@@ -48,7 +48,7 @@ class WindowSpec:
         if self.hop > self.length:
             raise StreamError("window hop cannot exceed the length")
         ratio = self.length / self.hop
-        if abs(ratio - round(ratio)) > 1e-9:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise StreamError(
                 f"window length {self.length:g} must be a multiple of "
                 f"hop {self.hop:g} (pane merge must be exact)")

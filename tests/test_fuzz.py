@@ -2,13 +2,16 @@
 the invariants (boolean results, consistent plans, no crashes)."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.condition import bind_condition
+from repro.core.condition import bind_condition, parse_condition
 from repro.core.objects import MonitoredObject
 from repro.core.schema import SCHEMA
-from repro.errors import ReproError
+from repro.engine.sqlparse.lexer import tokenize
+from repro.errors import (ConditionSyntaxError, ReproError, SchemaError,
+                          SQLSyntaxError, StreamSyntaxError)
+from repro.stream.language import parse_stream_query
 
 # ---------------------------------------------------------------------------
 # condition-language fuzz
@@ -142,3 +145,90 @@ class TestQueryFuzz:
         b = session.execute(sql).query.logical_signature
         assert a == b
         assert a is not None
+
+
+# ---------------------------------------------------------------------------
+# hostile text: every parser of user text fails only with its typed error
+# ---------------------------------------------------------------------------
+
+#: fragments that sit near the lexer's and the parsers' edge cases
+_FRAGMENTS = st.sampled_from([
+    "Query", "Duration", ".", "Window", "Count", "Top", "Transaction",
+    "AND", "OR", "NOT", "NULL", "TRUE", "IS", "IN", "BETWEEN", "LIKE",
+    "COUNT", "(", ")", "*", ",", "-", "+", "%", "/", "=", "<>", ">=",
+    "'x'", "''", "'", "@p", "@", "1", "0", "2.5", ".5", "5.", "1e", "1E+",
+    "1.5e-", "1e3", "1e999", "²", "--", "\n", "#", "WINDOW", "TUMBLING",
+    "SLIDING", "HOPPING", "AGG", "HAVING", "WHERE", "GROUP", "BY", "AS",
+    "ANOMALY", "DEVIATION", "TOPK", "STREAM", "FROM",
+])
+_hostile_text = st.one_of(
+    st.text(max_size=60),
+    st.lists(_FRAGMENTS, max_size=24).map(" ".join),
+    st.lists(_FRAGMENTS, max_size=24).map("".join),
+)
+
+#: stream statements with one clause left to the fuzzer
+_STREAM_TEMPLATES = st.sampled_from([
+    "{}",
+    "STREAM s FROM Query.Commit {}",
+    "STREAM s FROM Query.Commit WHERE {} WINDOW TUMBLING(5) AGG COUNT(*)",
+    "STREAM s FROM Query.Commit GROUP BY {} WINDOW TUMBLING(5) "
+    "AGG COUNT(*)",
+    "STREAM s FROM Query.Commit WINDOW {} AGG COUNT(*) AS N",
+    "STREAM s FROM Query.Commit WINDOW TUMBLING(5) AGG {}",
+    "STREAM s FROM Query.Commit WINDOW TUMBLING(5) AGG COUNT(*) AS N "
+    "HAVING {}",
+    "STREAM s FROM Query.Commit WINDOW TUMBLING(5) AGG COUNT(*) AS N "
+    "ANOMALY {}",
+])
+
+_HOSTILE = settings(deadline=None, max_examples=300)
+
+
+@pytest.mark.hostile_input
+class TestHostileText:
+    @_HOSTILE
+    @given(_hostile_text)
+    @example("1e")
+    @example("1E+")
+    @example("1.5e-")
+    @example("\u00b2")
+    def test_tokenize_raises_only_syntax_errors(self, text):
+        try:
+            tokenize(text)
+        except SQLSyntaxError:
+            pass
+
+    @_HOSTILE
+    @given(_hostile_text)
+    @example("Query.Duration > 1E+")
+    @example("(" * 400 + "Query.Duration > 1" + ")" * 400)
+    def test_conditions_raise_only_condition_errors(self, text):
+        try:
+            bind_condition(text, SCHEMA, {"top"}, lambda name: {"avg"})
+        except (ConditionSyntaxError, SchemaError):
+            pass
+        try:
+            parse_condition(text)
+        except ConditionSyntaxError:
+            pass
+
+    @_HOSTILE
+    @given(_STREAM_TEMPLATES, _hostile_text)
+    @example("STREAM s FROM Query.Commit WINDOW {} AGG COUNT(*)",
+             "TUMBLING(1e)")
+    @example("STREAM s FROM Query.Commit WINDOW {} AGG COUNT(*)",
+             "TUMBLING(1e999)")
+    @example("STREAM s FROM Query.Commit WINDOW {} AGG COUNT(*)",
+             "TUMBLING(0)")
+    @example("STREAM s FROM Query.Commit WINDOW {} AGG COUNT(*)",
+             "HOPPING(1e308, 1e-308)")
+    @example("STREAM s FROM Query.Commit WINDOW TUMBLING(5) AGG COUNT(*) "
+             "AS N ANOMALY {}", "TOPK(N, 1e999)")
+    @example("STREAM s FROM Query.Commit WHERE {} WINDOW TUMBLING(5) "
+             "AGG COUNT(*)", "Query.Duration IN (1, 2)")
+    def test_stream_queries_raise_only_stream_errors(self, template, text):
+        try:
+            parse_stream_query(template.format(text))
+        except (StreamSyntaxError, SchemaError):
+            pass

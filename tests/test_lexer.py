@@ -68,3 +68,36 @@ class TestTokenize:
         assert token.matches("KEYWORD", "SELECT")
         assert not token.matches("KEYWORD", "FROM")
         assert not token.matches("IDENT")
+
+
+class TestMalformedNumbers:
+    """A number the lexer cannot convert is a syntax error, never a crash."""
+
+    @pytest.mark.parametrize("text,expected", [
+        ("1e", [("NUMBER", 1), ("IDENT", "e")]),
+        ("1E+", [("NUMBER", 1), ("IDENT", "E"), ("OP", "+")]),
+        ("1.5e-", [("NUMBER", 1.5), ("IDENT", "e"), ("OP", "-")]),
+        ("1e+5", [("NUMBER", 100000.0)]),
+        (".5e1", [("NUMBER", 5.0)]),
+    ])
+    def test_exponent_needs_a_digit(self, text, expected):
+        assert kinds(text) == expected
+
+    @pytest.mark.parametrize("text", ["²", "SELECT 1²"])
+    def test_non_decimal_digit_rejected(self, text):
+        with pytest.raises(SQLSyntaxError):
+            tokenize(text)
+
+    def test_overlong_integer_rejected(self):
+        with pytest.raises(SQLSyntaxError):
+            tokenize("9" * 5000)
+
+    def test_session_raises_a_syntax_error(self):
+        from repro import DatabaseServer, ServerConfig
+        session = DatabaseServer(ServerConfig()).create_session()
+        with pytest.raises(SQLSyntaxError):
+            session.execute("SELECT 1E+")
+        with pytest.raises(SQLSyntaxError):
+            session.execute("SELECT ²")
+        # `1e` is the number 1 aliased as e, as `1 e` would be
+        assert session.execute("SELECT 1e").rows == [(1,)]

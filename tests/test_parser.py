@@ -3,6 +3,8 @@
 import pytest
 
 from repro.engine.sqlparse import ast_nodes as ast
+from repro.engine.sqlparse.lexer import tokenize
+from repro.engine.sqlparse.parser import parse_expression
 from repro.engine.sqlparse.parser import parse_statement as parse
 from repro.errors import SQLSyntaxError
 
@@ -183,6 +185,29 @@ class TestErrors:
             assert err.position is not None
         else:  # pragma: no cover
             pytest.fail("expected syntax error")
+
+
+class TestParseExpression:
+    def test_whole_expression(self):
+        tree = parse_expression(tokenize("a + 1 > b.c"))
+        assert tree == ast.BinaryOp(
+            ">", ast.BinaryOp("+", ast.ColumnRef("a"), ast.Literal(1)),
+            ast.ColumnRef("c", table="b"))
+
+    def test_trailing_tokens_rejected(self):
+        with pytest.raises(SQLSyntaxError):
+            parse_expression(tokenize("a > 1 b"))
+
+    def test_keyword_qualifier_and_keyword_column(self):
+        tree = parse_expression(tokenize("Transaction.Count = Top.Order"))
+        assert tree.left == ast.ColumnRef("COUNT", table="TRANSACTION")
+        assert tree.right == ast.ColumnRef("ORDER", table="TOP")
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(SQLSyntaxError, match="nested too deeply"):
+            parse("SELECT " + "(" * 500 + "1" + ")" * 500)
+        with pytest.raises(SQLSyntaxError, match="nested too deeply"):
+            parse_expression(tokenize("NOT " * 2000 + "a"))
 
 
 class TestASTHelpers:

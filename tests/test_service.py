@@ -15,6 +15,9 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_durability_state import _mutate, _mutation
 
 from repro import (SQLCM, DatabaseServer, GovernorPolicy, IncidentPolicy,
                    MonitorService, ServerConfig, ServiceClient,
@@ -119,6 +122,59 @@ class TestProtocol:
                          retry_after=None).to_frame()
         assert frame == {"id": 7, "ok": False,
                          "error": {"code": E_SQL, "message": "boom"}}
+
+
+#: one encoded frame of every shape the wire carries
+_WIRE_FRAMES = [encode_frame(frame) for frame in (
+    {"id": 0, "op": "hello", "version": PROTOCOL_VERSION, "user": "ana"},
+    {"id": 7, "op": "sql", "sql": "SELECT v FROM t WHERE id = @id",
+     "params": {"id": 1, "tags": ["a", 2.5, None]}},
+    Response(7, ok=True, data={"rows": [[1, "a"]], "rowcount": 1}).to_frame(),
+    Response(8, ok=False, code=E_OVERLOADED, message="busy",
+             retry_after=0.5).to_frame(),
+    Push("incident", {"phase": "opened", "id": 3}, 1.5).to_frame(),
+)]
+
+
+@pytest.mark.hostile_input
+class TestHostileFrames:
+    """Hostile bytes on the wire fail only with :class:`ProtocolError`."""
+
+    def test_known_hostile_frames(self):
+        with pytest.raises(ProtocolError):
+            decode_frame(b"[" * 50000)              # under the size cap
+        with pytest.raises(ProtocolError):
+            decode_frame(b'{"id": ' + b"9" * 5000 + b"}")
+        with pytest.raises(ProtocolError):
+            parse_server_frame({"push": "x", "time": "abc"})
+        with pytest.raises(ProtocolError):
+            parse_server_frame({"id": 1, "error": [1]})
+        with pytest.raises(ProtocolError):
+            parse_server_frame({"id": 1, "ok": True, "data": "rows"})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_WIRE_FRAMES),
+           st.lists(_mutation, min_size=1, max_size=3))
+    def test_mutated_frames_raise_only_protocol_errors(self, frame,
+                                                       mutations):
+        try:
+            decoded = decode_frame(_mutate(frame, mutations))
+        except ProtocolError:
+            return
+        for parse in (parse_request, parse_server_frame):
+            try:
+                parse(decoded)
+            except ProtocolError:
+                pass
+
+    def test_nested_frame_gets_parse_error_and_connection_survives(
+            self, service):
+        with connect(service) as client:
+            client._sock.sendall(b"[" * 50000 + b"\n")
+            frame = client._read_frame()
+            assert isinstance(frame, Response)
+            assert frame.code == E_PARSE
+            assert client.ping()["time"] >= 0.0
 
 
 # ---------------------------------------------------------------------------
