@@ -37,7 +37,7 @@ from repro.core.resilience import (CHECKSUM_COLUMN, DeadLetter,
                                    QuarantinePolicy, RetryPolicy,
                                    RuleHealthRegistry, row_checksum)
 from repro.core.rules import Rule
-from repro.core.schema import SCHEMA, SQLCMSchema
+from repro.core.schema import SCHEMA, SIGNATURE_ATTRIBUTES, SQLCMSchema
 from repro.core.signatures import (SignatureRegistry, linearize_logical,
                                    linearize_physical, digest,
                                    sequence_signature)
@@ -49,10 +49,6 @@ from repro.engine.types import SQLType
 from repro.errors import (ActionDeliveryError, FaultInjected, LATError,
                           PersistCorruptionError, RuleError,
                           RuleQuarantinedError, SchemaError)
-
-_SIGNATURE_ATTRS = {"logical_signature", "physical_signature"}
-_INSTANCE_ATTRS = {"number_of_instances"}
-
 
 class MonitorCounters(NamedTuple):
     """A monitor's replay-stable counters (summed across shards when the
@@ -449,21 +445,20 @@ class SQLCM:
         return cached
 
     def _compute_signatures_needed(self) -> bool:
-        interesting = _SIGNATURE_ATTRS | _INSTANCE_ATTRS
         if self._signatures_forced:
             return True
         if self._streams is not None and self._streams.signatures_needed:
             return True
         for lat in self._lats.values():
             attrs = {a.lower() for a in lat.definition.source_attributes()}
-            if attrs & interesting:
+            if attrs & SIGNATURE_ATTRIBUTES:
                 return True
         for rule in self._rule_order:
             cond = rule.compiled_condition
             # bound attribute references, not a text scan: a LAT alias or
             # string literal containing "signature" must not force
             # signature computation onto every query
-            if cond is not None and cond.attributes & interesting:
+            if cond is not None and cond.attributes & SIGNATURE_ATTRIBUTES:
                 return True
         return False
 
@@ -710,16 +705,9 @@ class SQLCM:
         if event == "lat.evict":
             return {"evicted": factory.evicted_row(payload["lat"],
                                                    payload["row"])}
-        if event == "sqlcm.rule_error":
-            return {"rulefailure": factory.rule_failure(payload)}
-        if event == "sqlcm.stream_alert":
-            return {"streamalert": factory.stream_alert(payload)}
-        if event == "sqlcm.governor_transition":
-            return {"governor": factory.governor_transition(payload)}
-        if event == "sqlcm.incident":
-            return {"incident": factory.incident(payload)}
-        if event == "sqlcm.remediation":
-            return {"remediation": factory.remediation(payload)}
+        cls = self.schema.payload_class(event)
+        if cls is not None:  # a meta-event: its class reads the payload
+            return {cls.name.lower(): factory.make(cls.name, payload)}
         return {}
 
     def _iterate_class(self, class_name: str) -> list[MonitoredObject]:

@@ -2,29 +2,37 @@
 
 Section 4.1: probes are "assembled into monitored objects on demand (i.e.,
 at the time of rule-evaluation)".  A :class:`MonitoredObject` therefore holds
-a reference to the underlying engine object (a
-:class:`~repro.engine.query.QueryContext`, a transaction, a timer) and
-extracts attribute values lazily when a rule condition or a LAT insert reads
-them.
+a reference to its source (a :class:`~repro.engine.query.QueryContext`, a
+transaction, a timer, a meta-event payload) and reads attribute values
+lazily when a rule condition or a LAT insert asks for them.  How each
+attribute is read is declared once, in :mod:`repro.core.schema`; the
+:class:`ObjectFactory` binds those probes to its monitor once per class.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter, methodcaller
 from typing import Any, Callable
 
-from repro.core.schema import MonitoredClassDef
+from repro.core.schema import MonitoredClassDef, TransactionSource
 from repro.errors import SchemaError
 
-_Extractor = Callable[..., Any]
+#: a probe bound to its monitor: ``probe(source) -> value``
+_BoundProbe = Callable[[Any], Any]
 
 
 class MonitoredObject:
-    """One instance of a monitored class with lazy probe extraction."""
+    """One instance of a monitored class with lazy probe extraction.
+
+    ``extractors`` maps lowercase attribute names to bound probes called
+    with ``source``; ``extra`` holds values supplied with the object and
+    takes precedence over a probe."""
 
     __slots__ = ("class_def", "_extractors", "_extra", "source")
 
     def __init__(self, class_def: MonitoredClassDef,
-                 extractors: dict[str, _Extractor],
+                 extractors: dict[str, _BoundProbe],
                  extra: dict[str, Any] | None = None,
                  source: Any = None):
         self.class_def = class_def
@@ -46,7 +54,7 @@ class MonitoredObject:
             raise SchemaError(
                 f"class {self.class_name} exposes no probe {attribute!r}"
             )
-        return extractor()
+        return extractor(self.source)
 
     def snapshot(self, attributes: list[str] | None = None) -> dict[str, Any]:
         """Materialize attribute values into a plain dict."""
@@ -59,227 +67,78 @@ class MonitoredObject:
 
 
 class ObjectFactory:
-    """Builds monitored objects from engine-side records.
+    """Builds monitored objects from the schema's probes.
 
-    The factory needs the SQLCM engine for cross-cutting probes
-    (``Number_of_instances`` comes from SQLCM's per-signature instance
-    counter; transaction signatures come from the signature registry).
+    Each class's probes are bound to the SQLCM engine once, on first use
+    (so classes registered later work too): a name probe becomes an
+    attribute getter (a payload ``get`` for payload classes), a computed
+    probe is given the engine, which cross-cutting probes need
+    (``Number_of_instances`` reads SQLCM's per-signature instance counter;
+    transaction signatures come from the signature registry).
     """
 
     def __init__(self, sqlcm):
         self._sqlcm = sqlcm
-        self._clock = sqlcm.server.clock
+        self._bound: dict[str, tuple[MonitoredClassDef,
+                                     dict[str, _BoundProbe]]] = {}
 
-    # -- Query / Blocker / Blocked -----------------------------------------------
+    def make(self, class_name: str, source: Any,
+             extra: dict[str, Any] | None = None) -> MonitoredObject:
+        """One object of ``class_name`` reading ``source``."""
+        bound = self._bound.get(class_name)
+        if bound is None:
+            cls = self._sqlcm.schema.monitored_class(class_name)
+            bound = self._bound[class_name] = (cls, self._bind(cls))
+        cls, probes = bound
+        return MonitoredObject(cls, probes, extra, source)
 
-    def query(self, qctx, class_def: MonitoredClassDef | None = None,
-              extra: dict[str, Any] | None = None) -> MonitoredObject:
-        """Wrap a QueryContext as a Query (or Blocker/Blocked) object."""
-        cls = class_def or self._sqlcm.schema.monitored_class("Query")
-        clock = self._clock
-        sqlcm = self._sqlcm
-        extractors = {
-            "id": lambda: qctx.query_id,
-            "query_text": lambda: qctx.text,
-            "logical_signature": lambda: qctx.logical_signature,
-            "physical_signature": lambda: qctx.physical_signature,
-            "start_time": lambda: qctx.start_time,
-            "duration": lambda: qctx.duration_at(clock.now),
-            "estimated_cost": lambda: qctx.estimated_cost,
-            "time_blocked": lambda: qctx.time_blocked,
-            "times_blocked": lambda: qctx.times_blocked,
-            "queries_blocked": lambda: qctx.queries_blocked,
-            "time_blocking_others": lambda: qctx.time_blocking_others,
-            "number_of_instances": lambda: sqlcm.instance_count(
-                qctx.logical_signature),
-            "query_type": lambda: qctx.query_type,
-            "user": lambda: qctx.user,
-            "application": lambda: qctx.application,
-            "rows_affected": lambda: qctx.rows_affected,
-            "estimated_rows": lambda: (qctx.plan.estimated_rows
-                                       if qctx.plan is not None else 0.0),
-            "actual_rows": lambda: (len(qctx.result_rows)
-                                    if qctx.query_type == "SELECT"
-                                    else qctx.rows_affected),
-            "wait_time": lambda: 0.0,
-            "resource": lambda: (str(qctx.blocked_on)
-                                 if qctx.blocked_on is not None else None),
-        }
-        return MonitoredObject(cls, extractors, extra, source=qctx)
+    def _bind(self, cls: MonitoredClassDef) -> dict[str, _BoundProbe]:
+        bound: dict[str, _BoundProbe] = {}
+        for key, probe in cls.probes.items():
+            if not isinstance(probe, str):
+                bound[key] = partial(probe, self._sqlcm)
+            elif cls.reads_payload:
+                bound[key] = methodcaller("get", probe)
+            else:
+                bound[key] = attrgetter(probe)
+        return bound
 
-    def blocker(self, qctx, resource, wait_time: float = 0.0) -> MonitoredObject:
-        cls = self._sqlcm.schema.monitored_class("Blocker")
-        return self.query(qctx, cls, extra={
-            "wait_time": wait_time, "resource": str(resource),
-        })
+    def query(self, qctx) -> MonitoredObject:
+        return self.make("Query", qctx)
+
+    def blocker(self, qctx, resource,
+                wait_time: float = 0.0) -> MonitoredObject:
+        return self.make("Blocker", qctx, _conflict(resource, wait_time))
 
     def blocked(self, qctx, resource, wait_time: float) -> MonitoredObject:
-        cls = self._sqlcm.schema.monitored_class("Blocked")
-        return self.query(qctx, cls, extra={
-            "wait_time": wait_time, "resource": str(resource),
-        })
-
-    # -- Transaction --------------------------------------------------------------
+        return self.make("Blocked", qctx, _conflict(resource, wait_time))
 
     def transaction(self, txn, statements: list) -> MonitoredObject:
-        cls = self._sqlcm.schema.monitored_class("Transaction")
-        clock = self._clock
-        sqlcm = self._sqlcm
-
-        def duration() -> float:
-            end = txn.end_time if txn.end_time is not None else clock.now
-            return max(0.0, end - txn.start_time)
-
-        def text() -> str:
-            return "; ".join(q.text for q in statements)
-
-        first = statements[0] if statements else None
-        extractors = {
-            "id": lambda: txn.txn_id,
-            "query_text": text,
-            "logical_signature": lambda: sqlcm.transaction_signature(
-                statements, physical=False),
-            "physical_signature": lambda: sqlcm.transaction_signature(
-                statements, physical=True),
-            "start_time": lambda: txn.start_time,
-            "duration": duration,
-            "estimated_cost": lambda: sum(q.estimated_cost
-                                          for q in statements),
-            "time_blocked": lambda: sum(q.time_blocked for q in statements),
-            "times_blocked": lambda: sum(q.times_blocked
-                                         for q in statements),
-            "queries_blocked": lambda: sum(q.queries_blocked
-                                           for q in statements),
-            "statement_count": lambda: len(statements),
-            "user": lambda: first.user if first else "",
-            "application": lambda: first.application if first else "",
-        }
-        return MonitoredObject(cls, extractors, source=txn)
-
-    # -- Session ------------------------------------------------------------------
+        return self.make("Transaction", TransactionSource(txn, statements))
 
     def session(self, session) -> MonitoredObject:
         """Wrap an engine session (successful login/logout events)."""
-        cls = self._sqlcm.schema.monitored_class("Session")
-        clock = self._clock
-        extractors = {
-            "id": lambda: session.session_id,
-            "user": lambda: session.user,
-            "application": lambda: session.application,
-            "login_time": lambda: clock.now,
-        }
-        return MonitoredObject(cls, extractors, source=session)
+        return self.make("Session", session)
 
     def failed_login(self, payload: dict) -> MonitoredObject:
         """A Session object for a *failed* login (no real session exists)."""
-        cls = self._sqlcm.schema.monitored_class("Session")
-        return MonitoredObject(cls, {}, extra={
-            "id": 0,
-            "user": payload.get("user"),
+        return self.make("Session", None, {
+            "id": 0, "user": payload.get("user"),
             "application": payload.get("application"),
             "login_time": payload.get("time"),
         })
 
-    # -- Timer -------------------------------------------------------------------
-
     def timer(self, timer) -> MonitoredObject:
-        cls = self._sqlcm.schema.monitored_class("Timer")
-        clock = self._clock
-        extractors = {
-            "id": lambda: timer.timer_id,
-            "name": lambda: timer.name,
-            "current_time": lambda: clock.now,
-            "interval": lambda: timer.interval,
-            "remaining_alarms": lambda: timer.remaining,
-        }
-        return MonitoredObject(cls, extractors, source=timer)
-
-    # -- LAT evicted rows -----------------------------------------------------------
+        return self.make("Timer", timer)
 
     def evicted_row(self, lat_name: str, row_values: dict[str, Any]
                     ) -> MonitoredObject:
-        cls = self._sqlcm.schema.monitored_class("Evicted")
+        """An evicted LAT row: its columns plus ``LAT_Name``."""
         extra = {key.lower(): value for key, value in row_values.items()}
         extra["lat_name"] = lat_name
-        return MonitoredObject(cls, {}, extra, source=row_values)
+        return self.make("Evicted", row_values, extra)
 
-    # -- stream alerts (continuous-query output) ----------------------------------
 
-    def stream_alert(self, payload: dict[str, Any]) -> MonitoredObject:
-        """Wrap one stream-query alert (the ``sqlcm.stream_alert`` event)."""
-        cls = self._sqlcm.schema.monitored_class("StreamAlert")
-        return MonitoredObject(cls, {}, extra={
-            "stream_name": payload.get("stream"),
-            "kind": payload.get("kind"),
-            "group_key": payload.get("group"),
-            "aggregate": payload.get("column"),
-            "value": payload.get("value"),
-            "baseline": payload.get("baseline"),
-            "sigma": payload.get("sigma"),
-            "rank": payload.get("rank"),
-            "window_start": payload.get("window_start"),
-            "window_end": payload.get("window_end"),
-            "current_time": payload.get("time"),
-        }, source=payload)
-
-    # -- rule failures (meta-monitoring) -----------------------------------------
-
-    def rule_failure(self, payload: dict[str, Any]) -> MonitoredObject:
-        """Wrap one isolated rule failure (the ``sqlcm.rule_error`` event)."""
-        cls = self._sqlcm.schema.monitored_class("RuleFailure")
-        return MonitoredObject(cls, {}, extra={
-            "rule_name": payload.get("rule"),
-            "site": payload.get("site"),
-            "error": payload.get("error"),
-            "error_count": payload.get("error_count", 0),
-            "quarantined": payload.get("quarantined", False),
-            "current_time": payload.get("time"),
-        }, source=payload)
-
-    # -- incidents / remediations (meta-monitoring) -------------------------------
-
-    def incident(self, payload: dict[str, Any]) -> MonitoredObject:
-        """Wrap one incident lifecycle transition
-        (the ``sqlcm.incident`` event)."""
-        cls = self._sqlcm.schema.monitored_class("Incident")
-        return MonitoredObject(cls, {}, extra={
-            "id": payload.get("incident_id"),
-            "class": payload.get("incident_class"),
-            "signature": payload.get("signature"),
-            "phase": payload.get("phase"),
-            "state": payload.get("state"),
-            "severity": payload.get("severity"),
-            "occurrences": payload.get("occurrences", 1),
-            "summary": payload.get("summary"),
-            "current_time": payload.get("time"),
-        }, source=payload)
-
-    def remediation(self, payload: dict[str, Any]) -> MonitoredObject:
-        """Wrap one remediation attempt (the ``sqlcm.remediation`` event)."""
-        cls = self._sqlcm.schema.monitored_class("Remediation")
-        return MonitoredObject(cls, {}, extra={
-            "incident_id": payload.get("incident_id"),
-            "incident_class": payload.get("incident_class"),
-            "signature": payload.get("signature"),
-            "action": payload.get("action"),
-            "target": payload.get("target"),
-            "outcome": payload.get("outcome"),
-            "detail": payload.get("detail"),
-            "current_time": payload.get("time"),
-        }, source=payload)
-
-    # -- governor transitions (meta-monitoring) ----------------------------------
-
-    def governor_transition(self, payload: dict[str, Any]) -> MonitoredObject:
-        """Wrap one overload-governor ladder transition
-        (the ``sqlcm.governor_transition`` event)."""
-        cls = self._sqlcm.schema.monitored_class("Governor")
-        return MonitoredObject(cls, {}, extra={
-            "from_state": payload.get("from_state"),
-            "to_state": payload.get("to_state"),
-            "reason": payload.get("reason"),
-            "overhead_ratio": payload.get("overhead_ratio"),
-            "estimated_ratio": payload.get("estimated_ratio"),
-            "suspended_count": payload.get("suspended_count", 0),
-            "current_time": payload.get("time"),
-        }, source=payload)
+def _conflict(resource, wait_time: float) -> dict[str, Any]:
+    """The Blocker/Blocked attributes of the current lock conflict."""
+    return {"wait_time": wait_time, "resource": str(resource)}

@@ -86,20 +86,23 @@ def known_fault_sites() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+#: ceiling on a rule's re-quarantine cooldown (virtual seconds)
+MAX_COOLDOWN = 3600.0
+
+
 @dataclass
 class QuarantinePolicy:
     """Circuit-breaker tuning for rule quarantine.
 
     ``failure_threshold`` failures within ``window`` virtual seconds
     quarantine the rule for ``cooldown`` seconds; each re-quarantine
-    multiplies the cooldown by ``backoff`` up to ``max_cooldown``.
+    multiplies the cooldown by ``backoff`` up to :data:`MAX_COOLDOWN`.
     """
 
     failure_threshold: int = 3
     window: float = 60.0
     cooldown: float = 120.0
     backoff: float = 2.0
-    max_cooldown: float = 3600.0
 
 
 @dataclass
@@ -257,7 +260,7 @@ class RuleHealthRegistry:
             health.current_cooldown = policy.cooldown
         else:
             health.current_cooldown = min(
-                policy.max_cooldown,
+                MAX_COOLDOWN,
                 health.current_cooldown * policy.backoff)
         health.state = QUARANTINED
         health.quarantine_count += 1
@@ -325,8 +328,9 @@ class DeadLetterJournal:
     :attr:`dropped`) rather than letting the journal grow without limit.
     """
 
-    # durability journal (set by DurabilityManager.attach): each append
-    # puts the ring's image so the entries survive a monitor crash
+    # durability journal (set by DurabilityManager.attach): every change
+    # to the ring puts its image so the entries survive a monitor crash,
+    # and delivered or cleared entries stay gone after recovery
     journal = None
     _persisted = ("capacity", "_entries", "dropped", "poison_dropped")
 
@@ -346,6 +350,9 @@ class DeadLetterJournal:
             del self._entries[:overflow]
             self.dropped += overflow
         self._entries.append(entry)
+        self._journal_image()
+
+    def _journal_image(self) -> None:
         if self.journal is not None:
             self.journal.put("deadletters", None, self)
 
@@ -364,6 +371,7 @@ class DeadLetterJournal:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._journal_image()
 
     def replay(self, sqlcm) -> int:
         """Re-attempt delivery of every entry; returns how many succeeded.
@@ -386,6 +394,7 @@ class DeadLetterJournal:
                 entry.error = f"{type(err).__name__}: {err}"
                 remaining.append(entry)
         self._entries = remaining
+        self._journal_image()
         return delivered
 
     def redeliver(self, sqlcm, drop_after: int = 9) -> RedeliveryReport:
@@ -428,6 +437,7 @@ class DeadLetterJournal:
             else:
                 remaining.append(entry)
         self._entries = remaining
+        self._journal_image()
         report.remaining = len(remaining)
         return report
 

@@ -1,4 +1,5 @@
-"""The SQLCM schema: monitored classes, their probes, and their events.
+"""The SQLCM schema: monitored classes, their attributes with the probe
+that reads each one, and their events.
 
 This is the paper's Appendix A.  Five monitored classes are exposed:
 ``Query``, ``Transaction``, ``Blocker``, ``Blocked``, and ``Timer``.
@@ -6,23 +7,45 @@ This is the paper's Appendix A.  Five monitored classes are exposed:
 through a lock conflict) plus a ``Wait_Time`` attribute for the current
 conflict.  ``User`` and ``Application`` attributes are included because
 Section 2.3 groups queries "by the application (or user) that issued them".
+
+Every attribute is declared once, here, together with its probe (§4.1):
+the name of an attribute on the engine object a monitored object wraps,
+or ``fn(sqlcm, source)`` for a computed value.  The meta-event classes
+(``RuleFailure``, ``StreamAlert``, ``Governor``, ``Incident``,
+``Remediation``) read their event's payload dict instead, where a name
+probe is a payload key.  :mod:`repro.core.objects` binds these probes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Union
 
 from repro.engine.types import SQLType
 from repro.errors import SchemaError
 
+#: how an attribute is read from an object's source: the name (or dotted
+#: path) of an attribute on it, a payload key for payload classes, or
+#: ``fn(sqlcm, source)`` for a computed value
+Probe = Union[str, Callable[[Any, Any], Any]]
+
+#: attributes whose values need statement signatures, so a rule, LAT or
+#: stream query reading one turns signature computation on
+SIGNATURE_ATTRIBUTES = frozenset(
+    {"logical_signature", "physical_signature", "number_of_instances"})
+
 
 @dataclass(frozen=True)
 class AttributeDef:
-    """One probe exposed as an attribute of a monitored class."""
+    """One probe exposed as an attribute of a monitored class.
+
+    ``probe`` defaults to the attribute's lowercase name."""
 
     name: str
     sql_type: SQLType
     doc: str = ""
+    probe: Probe | None = None
 
 
 @dataclass(frozen=True)
@@ -35,15 +58,22 @@ class EventDef:
 
 
 class MonitoredClassDef:
-    """A monitored class: attribute and event registries."""
+    """A monitored class: attribute, probe and event registries.
+
+    ``reads_payload`` marks a meta-event class whose objects read their
+    event's payload dict rather than an engine object."""
 
     def __init__(self, name: str, attributes: list[AttributeDef],
-                 events: list[EventDef]):
+                 events: list[EventDef], reads_payload: bool = False):
         self.name = name
         self.attributes: dict[str, AttributeDef] = {
             a.name.lower(): a for a in attributes
         }
+        self.probes: dict[str, Probe] = {
+            key: a.probe or key for key, a in self.attributes.items()
+        }
         self.events: dict[str, EventDef] = {e.name.lower(): e for e in events}
+        self.reads_payload = reads_payload
 
     def attribute(self, name: str) -> AttributeDef:
         try:
@@ -69,7 +99,10 @@ class SQLCMSchema:
     """The complete schema: all monitored classes, indexed by name."""
 
     def __init__(self, classes: list[MonitoredClassDef]):
-        self._classes = {c.name.lower(): c for c in classes}
+        self._classes: dict[str, MonitoredClassDef] = {}
+        self._payload_classes: dict[str, MonitoredClassDef] = {}
+        for cls in classes:
+            self.register_class(cls)
 
     def monitored_class(self, name: str) -> MonitoredClassDef:
         try:
@@ -82,6 +115,10 @@ class SQLCMSchema:
 
     def classes(self) -> list[MonitoredClassDef]:
         return list(self._classes.values())
+
+    def payload_class(self, engine_event: str) -> MonitoredClassDef | None:
+        """The payload-reading class whose event is ``engine_event``."""
+        return self._payload_classes.get(engine_event)
 
     def resolve_event(self, spec: str) -> tuple[MonitoredClassDef, EventDef]:
         """Resolve a ``Class.Event`` rule event spec."""
@@ -100,19 +137,64 @@ class SQLCMSchema:
         if key in self._classes:
             raise SchemaError(f"class {cls.name!r} already registered")
         self._classes[key] = cls
+        if cls.reads_payload:
+            for event in cls.events.values():
+                self._payload_classes[event.engine_event] = cls
+
+
+# -- computed probes: fn(sqlcm, source) ---------------------------------------
+
+def _now(sqlcm, source) -> float:
+    return sqlcm.server.clock.now
+
+
+class TransactionSource(NamedTuple):
+    """What a Transaction object reads: the transaction and the statements
+    it ran (the event payload's snapshot of its statement log)."""
+
+    txn: Any
+    statements: list
+
+
+def _txn_signature(physical: bool) -> Probe:
+    return lambda sqlcm, source: sqlcm.transaction_signature(
+        source.statements, physical=physical)
+
+
+def _txn_duration(sqlcm, source: TransactionSource) -> float:
+    txn = source.txn
+    end = txn.end_time if txn.end_time is not None else sqlcm.server.clock.now
+    return max(0.0, end - txn.start_time)
+
+
+def _txn_sum(attribute: str) -> Probe:
+    read = attrgetter(attribute)
+    return lambda sqlcm, source: sum(map(read, source.statements))
+
+
+def _txn_first(attribute: str) -> Probe:
+    return lambda sqlcm, source: (getattr(source.statements[0], attribute)
+                                  if source.statements else "")
+
+
+def _payload_get(key: str, default: Any) -> Probe:
+    """A payload read that answers ``default`` when ``key`` is missing."""
+    return lambda sqlcm, payload: payload.get(key, default)
 
 
 def _query_attributes() -> list[AttributeDef]:
     return [
-        AttributeDef("ID", SQLType.INTEGER, "query id"),
-        AttributeDef("Query_Text", SQLType.STRING, "query text string"),
+        AttributeDef("ID", SQLType.INTEGER, "query id", "query_id"),
+        AttributeDef("Query_Text", SQLType.STRING, "query text string",
+                     "text"),
         AttributeDef("Logical_Signature", SQLType.BLOB,
                      "logical query signature (Section 4.2)"),
         AttributeDef("Physical_Signature", SQLType.BLOB,
                      "physical plan signature (Section 4.2)"),
         AttributeDef("Start_Time", SQLType.DATETIME, "virtual start time"),
         AttributeDef("Duration", SQLType.FLOAT,
-                     "total execution time so far (seconds)"),
+                     "total execution time so far (seconds)",
+                     lambda sqlcm, q: q.duration_at(sqlcm.server.clock.now)),
         AttributeDef("Estimated_Cost", SQLType.FLOAT,
                      "optimizer cost estimate"),
         AttributeDef("Time_Blocked", SQLType.FLOAT,
@@ -124,7 +206,9 @@ def _query_attributes() -> list[AttributeDef]:
         AttributeDef("Time_Blocking_Others", SQLType.FLOAT,
                      "total delay imposed on other queries"),
         AttributeDef("Number_of_instances", SQLType.INTEGER,
-                     "executions sharing this logical signature"),
+                     "executions sharing this logical signature",
+                     lambda sqlcm, q: sqlcm.instance_count(
+                         q.logical_signature)),
         AttributeDef("Query_Type", SQLType.STRING,
                      "UPDATE | SELECT | INSERT | DELETE"),
         AttributeDef("User", SQLType.STRING, "login that issued the query"),
@@ -133,14 +217,21 @@ def _query_attributes() -> list[AttributeDef]:
         AttributeDef("Rows_Affected", SQLType.INTEGER,
                      "rows returned or modified"),
         AttributeDef("Estimated_Rows", SQLType.FLOAT,
-                     "optimizer cardinality estimate at the plan root"),
+                     "optimizer cardinality estimate at the plan root",
+                     lambda sqlcm, q: (q.plan.estimated_rows
+                                       if q.plan is not None else 0.0)),
         AttributeDef("Actual_Rows", SQLType.INTEGER,
                      "rows actually produced/modified (drives the "
-                     "statistics-drift monitor of Section 2.1)"),
+                     "statistics-drift monitor of Section 2.1)",
+                     lambda sqlcm, q: (len(q.result_rows)
+                                       if q.query_type == "SELECT"
+                                       else q.rows_affected)),
     ]
 
 
 def _blocked_pair_attributes() -> list[AttributeDef]:
+    # the two conflict attributes always arrive as the object's extra
+    # values (ObjectFactory.blocker / blocked)
     return _query_attributes() + [
         AttributeDef("Wait_Time", SQLType.FLOAT,
                      "time waited in the current lock conflict"),
@@ -166,23 +257,32 @@ QUERY_CLASS = MonitoredClassDef(
 TRANSACTION_CLASS = MonitoredClassDef(
     "Transaction",
     [
-        AttributeDef("ID", SQLType.INTEGER),
+        AttributeDef("ID", SQLType.INTEGER, probe="txn.txn_id"),
         AttributeDef("Query_Text", SQLType.STRING,
-                     "concatenated statement texts"),
+                     "concatenated statement texts",
+                     lambda sqlcm, source: "; ".join(
+                         q.text for q in source.statements)),
         AttributeDef("Logical_Signature", SQLType.BLOB,
-                     "logical transaction signature (sequence of ids)"),
+                     "logical transaction signature (sequence of ids)",
+                     _txn_signature(physical=False)),
         AttributeDef("Physical_Signature", SQLType.BLOB,
-                     "physical transaction signature (sequence of ids)"),
-        AttributeDef("Start_Time", SQLType.DATETIME),
-        AttributeDef("Duration", SQLType.FLOAT),
+                     "physical transaction signature (sequence of ids)",
+                     _txn_signature(physical=True)),
+        AttributeDef("Start_Time", SQLType.DATETIME, probe="txn.start_time"),
+        AttributeDef("Duration", SQLType.FLOAT, probe=_txn_duration),
         AttributeDef("Estimated_Cost", SQLType.FLOAT,
-                     "sum over statements"),
-        AttributeDef("Time_Blocked", SQLType.FLOAT),
-        AttributeDef("Times_Blocked", SQLType.INTEGER),
-        AttributeDef("Queries_Blocked", SQLType.INTEGER),
-        AttributeDef("Statement_Count", SQLType.INTEGER),
-        AttributeDef("User", SQLType.STRING),
-        AttributeDef("Application", SQLType.STRING),
+                     "sum over statements", _txn_sum("estimated_cost")),
+        AttributeDef("Time_Blocked", SQLType.FLOAT,
+                     probe=_txn_sum("time_blocked")),
+        AttributeDef("Times_Blocked", SQLType.INTEGER,
+                     probe=_txn_sum("times_blocked")),
+        AttributeDef("Queries_Blocked", SQLType.INTEGER,
+                     probe=_txn_sum("queries_blocked")),
+        AttributeDef("Statement_Count", SQLType.INTEGER,
+                     probe=lambda sqlcm, source: len(source.statements)),
+        AttributeDef("User", SQLType.STRING, probe=_txn_first("user")),
+        AttributeDef("Application", SQLType.STRING,
+                     probe=_txn_first("application")),
     ],
     [
         EventDef("Begin", "txn.begin"),
@@ -197,10 +297,11 @@ BLOCKED_CLASS = MonitoredClassDef("Blocked", _blocked_pair_attributes(), [])
 SESSION_CLASS = MonitoredClassDef(
     "Session",
     [
-        AttributeDef("ID", SQLType.INTEGER, "session id (0 on failed login)"),
+        AttributeDef("ID", SQLType.INTEGER, "session id (0 on failed login)",
+                     "session_id"),
         AttributeDef("User", SQLType.STRING),
         AttributeDef("Application", SQLType.STRING),
-        AttributeDef("Login_Time", SQLType.DATETIME),
+        AttributeDef("Login_Time", SQLType.DATETIME, probe=_now),
     ],
     [
         EventDef("Login", "session.login"),
@@ -213,13 +314,13 @@ SESSION_CLASS = MonitoredClassDef(
 TIMER_CLASS = MonitoredClassDef(
     "Timer",
     [
-        AttributeDef("ID", SQLType.INTEGER),
+        AttributeDef("ID", SQLType.INTEGER, probe="timer_id"),
         AttributeDef("Name", SQLType.STRING),
         AttributeDef("Current_Time", SQLType.DATETIME,
-                     "current virtual time"),
+                     "current virtual time", _now),
         AttributeDef("Interval", SQLType.FLOAT, "seconds between alerts"),
         AttributeDef("Remaining_Alarms", SQLType.INTEGER,
-                     "alarms left (negative = infinite)"),
+                     "alarms left (negative = infinite)", "remaining"),
     ],
     [EventDef("Alert", "timer.alert")],
 )
@@ -233,33 +334,37 @@ EVICTED_ROW_CLASS = MonitoredClassDef(
 RULE_FAILURE_CLASS = MonitoredClassDef(
     "RuleFailure",
     [
-        AttributeDef("Rule_Name", SQLType.STRING, "the rule that failed"),
+        AttributeDef("Rule_Name", SQLType.STRING, "the rule that failed",
+                     "rule"),
         AttributeDef("Site", SQLType.STRING,
                      "failure site: condition | action | evaluate"),
         AttributeDef("Error", SQLType.STRING, "error message"),
         AttributeDef("Error_Count", SQLType.INTEGER,
-                     "total failures of this rule so far"),
+                     "total failures of this rule so far",
+                     _payload_get("error_count", 0)),
         AttributeDef("Quarantined", SQLType.BOOLEAN,
-                     "did this failure trip the circuit breaker?"),
+                     "did this failure trip the circuit breaker?",
+                     _payload_get("quarantined", False)),
         AttributeDef("Current_Time", SQLType.DATETIME,
-                     "virtual time of the failure"),
+                     "virtual time of the failure", "time"),
     ],
     [EventDef("Error", "sqlcm.rule_error",
               "a rule failed inside the isolation boundary "
               "(meta-monitoring: rules can watch rule failures)")],
+    reads_payload=True,
 )
 
 STREAM_ALERT_CLASS = MonitoredClassDef(
     "StreamAlert",
     [
         AttributeDef("Stream_Name", SQLType.STRING,
-                     "the stream query that emitted the alert"),
+                     "the stream query that emitted the alert", "stream"),
         AttributeDef("Kind", SQLType.STRING,
                      "window | having | deviation | topk"),
         AttributeDef("Group_Key", SQLType.STRING,
-                     "rendered GROUP BY key of the window row"),
+                     "rendered GROUP BY key of the window row", "group"),
         AttributeDef("Aggregate", SQLType.STRING,
-                     "output column that triggered the alert"),
+                     "output column that triggered the alert", "column"),
         AttributeDef("Value", SQLType.FLOAT,
                      "value of that column in the alerting window"),
         AttributeDef("Baseline", SQLType.FLOAT,
@@ -274,11 +379,12 @@ STREAM_ALERT_CLASS = MonitoredClassDef(
         AttributeDef("Window_End", SQLType.DATETIME,
                      "virtual end of the alerting window"),
         AttributeDef("Current_Time", SQLType.DATETIME,
-                     "virtual time of emission"),
+                     "virtual time of emission", "time"),
     ],
     [EventDef("Alert", "sqlcm.stream_alert",
               "a stream query emitted a window result or anomaly "
               "(ECA rules can close the loop on stream output)")],
+    reads_payload=True,
 )
 
 GOVERNOR_CLASS = MonitoredClassDef(
@@ -295,21 +401,24 @@ GOVERNOR_CLASS = MonitoredClassDef(
                      "estimated ungoverned ratio (measured + skipped-cost "
                      "estimate)"),
         AttributeDef("Suspended_Count", SQLType.INTEGER,
-                     "components suspended after the transition"),
+                     "components suspended after the transition",
+                     _payload_get("suspended_count", 0)),
         AttributeDef("Current_Time", SQLType.DATETIME,
-                     "virtual time of the transition"),
+                     "virtual time of the transition", "time"),
     ],
     [EventDef("Transition", "sqlcm.governor_transition",
               "the overload governor moved along the degradation ladder "
               "(meta-monitoring: rules can watch the governor)")],
+    reads_payload=True,
 )
 
 INCIDENT_CLASS = MonitoredClassDef(
     "Incident",
     [
-        AttributeDef("ID", SQLType.INTEGER, "incident id"),
+        AttributeDef("ID", SQLType.INTEGER, "incident id", "incident_id"),
         AttributeDef("Class", SQLType.STRING,
-                     "incident class (e.g. blocking, runaway, overload)"),
+                     "incident class (e.g. blocking, runaway, overload)",
+                     "incident_class"),
         AttributeDef("Signature", SQLType.STRING,
                      "dedup key within the class (e.g. the hot resource)"),
         AttributeDef("Phase", SQLType.STRING,
@@ -317,14 +426,16 @@ INCIDENT_CLASS = MonitoredClassDef(
         AttributeDef("State", SQLType.STRING, "open | acked | resolved"),
         AttributeDef("Severity", SQLType.STRING, "warning | critical"),
         AttributeDef("Occurrences", SQLType.INTEGER,
-                     "detections deduplicated into this incident"),
+                     "detections deduplicated into this incident",
+                     _payload_get("occurrences", 1)),
         AttributeDef("Summary", SQLType.STRING, "human-readable summary"),
         AttributeDef("Current_Time", SQLType.DATETIME,
-                     "virtual time of the transition"),
+                     "virtual time of the transition", "time"),
     ],
     [EventDef("Update", "sqlcm.incident",
               "an incident changed lifecycle state "
               "(meta-monitoring: rules can watch the incident loop)")],
+    reads_payload=True,
 )
 
 REMEDIATION_CLASS = MonitoredClassDef(
@@ -341,11 +452,12 @@ REMEDIATION_CLASS = MonitoredClassDef(
                      "ok | failed | suppressed"),
         AttributeDef("Detail", SQLType.STRING),
         AttributeDef("Current_Time", SQLType.DATETIME,
-                     "virtual time of the attempt"),
+                     "virtual time of the attempt", "time"),
     ],
     [EventDef("Attempt", "sqlcm.remediation",
               "an automated remediation was attempted (or suppressed by "
               "the budget / flap guardrails)")],
+    reads_payload=True,
 )
 
 SCHEMA = SQLCMSchema([

@@ -10,9 +10,9 @@ context and write undo records on the transaction.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterator
 
+from repro.core.aggregates import StdevAgg
 from repro.engine.exec.context import ExecContext
 from repro.engine.planner import physical as phys
 from repro.engine.types import compare
@@ -278,15 +278,22 @@ def _nl_join(node: phys.PhysNLJoin, ctx: ExecContext) -> Iterator:
 # aggregation
 # ---------------------------------------------------------------------------
 
-class _AggState:
-    """Running state for one aggregate in one group."""
+_STDEV = StdevAgg()
 
-    __slots__ = ("count", "total", "sumsq", "minimum", "maximum", "distinct")
+
+class _AggState:
+    """Running state for one aggregate in one group.
+
+    STDEV keeps the LAT aggregate's Welford state, so SQL and LAT agree
+    and values sharing a large offset do not cancel."""
+
+    __slots__ = ("count", "total", "welford", "minimum", "maximum",
+                 "distinct")
 
     def __init__(self):
         self.count = 0
         self.total = 0.0
-        self.sumsq = 0.0
+        self.welford = _STDEV.new_state()
         self.minimum: Any = None
         self.maximum: Any = None
         self.distinct: set | None = None
@@ -304,10 +311,10 @@ class _AggState:
                 return
             self.distinct.add(value)
         self.count += 1
-        if func in ("SUM", "AVG", "STDEV"):
+        if func in ("SUM", "AVG"):
             self.total += value
-            if func == "STDEV":
-                self.sumsq += value * value
+        elif func == "STDEV":
+            self.welford = _STDEV.update(self.welford, value)
         elif func == "MIN":
             if self.minimum is None or compare(value, self.minimum) < 0:
                 self.minimum = value
@@ -329,11 +336,7 @@ class _AggState:
         if func == "MAX":
             return self.maximum
         if func == "STDEV":
-            if self.count < 2:
-                return None
-            variance = (self.sumsq - self.total * self.total / self.count) \
-                / (self.count - 1)
-            return math.sqrt(max(0.0, variance))
+            return _STDEV.result(self.welford)
         raise ExecutionError(f"unknown aggregate {func!r}")
 
 

@@ -9,7 +9,6 @@ here is a plain dict of JSON-safe values (the protocol layer's
 
 from __future__ import annotations
 
-from repro.monitoring.investigate import incidents_snapshot, investigate
 from repro.monitoring.report import activity_snapshot, governor_snapshot
 
 
@@ -62,14 +61,3 @@ def metrics_snapshot(server) -> dict:
     snapshot["enabled"] = True
     snapshot["monitor_cost_total"] = server.monitor_cost_total
     return snapshot
-
-
-def incidents_endpoint(sqlcm, incident_id: int | None = None) -> dict:
-    """`.incidents`: lifecycle history (all incidents or one, by id)."""
-    return incidents_snapshot(sqlcm, incident_id)
-
-
-def investigate_endpoint(sqlcm, incident_id: int,
-                         window: float = 5.0) -> dict:
-    """`.investigate`: the time-windowed story around one incident."""
-    return investigate(sqlcm, incident_id, window=window)

@@ -11,7 +11,7 @@ hooks); clients submit SQL and monitoring commands as JSON-line frames
 
 **The virtual clock stays authoritative.**  The engine never blocks the
 event loop: a *pump* task advances the scheduler by ``config.tick``
-virtual seconds every ``config.pump_interval`` wall seconds, then settles
+virtual seconds every ``PUMP_INTERVAL`` wall seconds, then settles
 the service state — finished statement processes become responses, the
 backpressure queue is re-examined, per-connection push outboxes are
 flushed.  Because asyncio is single-threaded, connection handlers and the
@@ -19,7 +19,7 @@ pump never race; tests stay deterministic in virtual time.
 
 **Admission control closes the loop with the overload governor.**  Every
 ``sql`` request is classed (CRITICAL / NORMAL / BEST_EFFORT, defaulting
-to the connection's ``hello`` declaration) and passed through
+to the connection's ``hello`` declaration, else NORMAL) and passed through
 ``governor.admit_request``.  Past SAMPLED the ladder starts refusing
 work: a shed BEST_EFFORT request is either queued (bounded, with a
 virtual-time deadline) or answered immediately with an ``overloaded``
@@ -45,6 +45,7 @@ from repro.engine.server import DatabaseServer, ServerConfig
 from repro.errors import (ActionError, EngineError, IncidentError, LATError,
                           ProtocolError, ReproError, RuleError, SchemaError,
                           ServiceError, StreamError)
+from repro.monitoring.investigate import incidents_snapshot, investigate
 from repro.service import endpoints
 from repro.service.protocol import (E_AUTH, E_BAD_REQUEST, E_DENIED,
                                     E_INTERNAL, E_OVERLOADED, E_PARSE,
@@ -60,6 +61,9 @@ from repro.sim.scheduler import SchedulerStalledError
 #: the pump (executing or queued statements)
 _DEFERRED = object()
 
+#: wall seconds between pumps
+PUMP_INTERVAL = 0.001
+
 
 @dataclass
 class ServiceConfig:
@@ -68,11 +72,9 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0                     # 0 = ephemeral, read .port after start
     tick: float = 0.02                # virtual seconds advanced per pump
-    pump_interval: float = 0.001      # wall seconds between pumps
     queue_limit: int = 16             # max queued (shed) requests
     queue_timeout: float = 1.0        # virtual seconds a queued request waits
     admin_users: tuple = ("admin",)   # users allowed to cancel other queries
-    default_criticality: str = NORMAL
     # virtual seconds a connection may sit idle before the service reaps
     # it (None = never); any request — a 'ping' heartbeat is the cheapest
     # — refreshes the deadline
@@ -108,7 +110,7 @@ class ClientConnection:
         self.service = service
         self.writer = writer
         self.session = None           # engine Session after hello
-        self.criticality = service.config.default_criticality
+        self.criticality = NORMAL
         self.pending: _Pending | None = None
         self.topics: set[str] = set()
         self.outbox: list[Push] = []
@@ -258,7 +260,7 @@ class MonitorService:
                 self._restart_step()
             self._advance()
             self._settle()
-            await asyncio.sleep(self.config.pump_interval)
+            await asyncio.sleep(PUMP_INTERVAL)
 
     # -- supervised restart ------------------------------------------------
 
@@ -605,8 +607,7 @@ class MonitorService:
         except EngineError as err:
             raise ServiceError(str(err), code=E_AUTH) from None
         conn.criticality = validate_criticality(
-            payload.get("criticality")
-            or self.config.default_criticality)
+            payload.get("criticality") or NORMAL)
         return {
             "server": SERVER_NAME,
             "version": PROTOCOL_VERSION,
@@ -763,11 +764,11 @@ class MonitorService:
         incident_id = request.payload.get("incident_id")
         if incident_id is not None:
             incident_id = int(incident_id)
-        return endpoints.incidents_endpoint(self.sqlcm, incident_id)
+        return incidents_snapshot(self.sqlcm, incident_id)
 
     def _op_investigate(self, conn: ClientConnection,
                         request: Request) -> dict:
-        return endpoints.investigate_endpoint(
+        return investigate(
             self.sqlcm,
             int(request.payload["incident_id"]),
             window=float(request.payload.get("window", 5.0)),

@@ -34,14 +34,12 @@ from repro.core.aggregates import aggregate_function
 from repro.core.governor import validate_criticality
 from repro.core.resilience import (QuarantinePolicy, RuleHealthRegistry,
                                    register_fault_sites)
+from repro.core.schema import SIGNATURE_ATTRIBUTES
 from repro.errors import StreamError
 from repro.stream.anomaly import (DeviationOperator, DeviationSpec,
                                   TopKOperator, TopKSpec)
 from repro.stream.language import StreamSpec, parse_stream_query
 from repro.stream.windows import WindowState
-
-_SIGNATURE_HINTS = ("logical_signature", "physical_signature",
-                    "number_of_instances")
 
 STREAM_FAULT_SITES = ("stream.eval", "stream.window")
 
@@ -212,12 +210,12 @@ class StreamEngine:
             attrs = [g.attribute.lower() for g in spec.groups]
             attrs += [a.attribute.lower() for a in spec.aggs
                       if a.attribute is not None]
-            if any(a in _SIGNATURE_HINTS for a in attrs):
+            if any(a in SIGNATURE_ATTRIBUTES for a in attrs):
                 return True
             # bound references, not a text scan (aliases or string
             # literals mentioning "signature" must not force signatures)
             if spec.where is not None and \
-                    spec.where.attributes & set(_SIGNATURE_HINTS):
+                    spec.where.attributes & SIGNATURE_ATTRIBUTES:
                 return True
         return False
 
@@ -448,7 +446,7 @@ class StreamEngine:
             self.server.add_monitor_cost(
                 costs.lat_insert + 3 * costs.lat_latch)
             self._sqlcm.check_fault("lat.insert")
-            obj = self._sqlcm.factory.stream_alert(alert)
+            obj = self._sqlcm.factory.make("StreamAlert", alert)
             for evicted in lat.insert(obj):
                 self._sqlcm.enqueue_evict_event(query.sink_lat, evicted)
         self.server.add_monitor_cost(costs.stream_alert_publish)

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Rule
-from repro.core.actions import SendMailAction
+from repro import SQLCM, DatabaseServer, Rule
+from repro.core.actions import RunExternalAction, SendMailAction
 from repro.core.durability import (CHECKPOINT_HEADER, DurabilityManager,
                                    parse_checkpoint, read_journal)
 from repro.core.governor import GovernorPolicy
@@ -304,3 +304,35 @@ class TestByteMutationFuzz:
         records, discarded = read_journal(path)
         assert discarded >= 0
         assert records == real_files[2][:len(records)]
+
+
+# ---------------------------------------------------------------------------
+# dead letters: delivered or cleared entries stay gone after recovery
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("drain", ["redeliver", "replay", "clear"])
+def test_drained_dead_letters_stay_drained(tmp_path, drain):
+    """A dead letter delivered (or cleared) before a crash must not come
+    back on recovery, or the next sweep repeats its side effect."""
+    server = DatabaseServer()
+    server.execute_ddl("CREATE TABLE items (id INT NOT NULL PRIMARY KEY)")
+    sqlcm = SQLCM(server)
+    sqlcm.add_rule(Rule(name="notify", event="Query.Commit",
+                        actions=[RunExternalAction("ping")]))
+    DurabilityManager(sqlcm, str(tmp_path)).attach()
+
+    def sink_down(command):
+        raise OSError("sink unreachable")
+
+    sqlcm.external_handler = sink_down
+    server.create_session().execute("INSERT INTO items (id) VALUES (1)")
+    assert [e.rule for e in sqlcm.dead_letters.entries()] == ["notify"]
+    sqlcm.external_handler = None  # the sink is back
+    journal = sqlcm.dead_letters
+    if drain == "clear":
+        journal.clear()
+    else:
+        getattr(journal, drain)(sqlcm)
+    assert journal.depth == 0
+    recovered = DurabilityManager.recover(str(tmp_path)).sqlcm
+    assert recovered.dead_letters.depth == 0

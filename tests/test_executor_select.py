@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.aggregates import StdevAgg
 from repro.errors import EngineError
 
 
@@ -120,6 +121,23 @@ class TestAggregates:
         avg, stdev = rows[0]
         assert avg == pytest.approx(4.0 / 3.0)
         assert stdev == pytest.approx(0.7637626, rel=1e-5)
+
+    def test_stdev_large_offset_matches_lat_stdev(self, server):
+        """Values sharing a large offset must not cancel: SQL STDEV agrees
+        with the LAT aggregate (a sum of squares returns 0.0 here)."""
+        server.execute_ddl(
+            "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, g INT, v FLOAT)")
+        values = [1e9 + 1, 1e9 + 2, 1e9 + 3, 1e9 + 4]
+        session = server.create_session()
+        session.execute("INSERT INTO t (id, g, v) VALUES " + ", ".join(
+            f"({i}, 1, {v!r})" for i, v in enumerate(values)))
+        rows = q(server, "SELECT g, STDEV(v) FROM t GROUP BY g")
+        stdev = StdevAgg()
+        state = stdev.new_state()
+        for value in values:
+            state = stdev.update(state, value)
+        assert rows == [(1, stdev.result(state))]
+        assert rows[0][1] == pytest.approx(1.2909944487358056)
 
     def test_group_by(self, items_server):
         rows = q(items_server,
